@@ -27,7 +27,17 @@ from .graph_core import NIL, TimestampedGraph
 
 
 class DecReach:
-    """Per-root reachability state over the root's snapshot."""
+    """Per-root reachability state over the root's snapshot.
+
+    Invariant between calls: every non-NIL cursor is a live edge of the
+    snapshot whose endpoints lie on the cursor's side.  ``p_in[y]`` and
+    ``c_in[y]`` have tail and head among the descendants, ``p_out[x]``
+    and ``c_out[x]`` among the ancestors.  A vertex dropped from the
+    descendants queues its out-edges, the only in-cursors it can be the
+    tail of (the ancestor side mirrors this), so no cursor is left with
+    a dropped endpoint.  Hence ``delete`` changes nothing unless a
+    removed edge of the snapshot has both endpoints on one side.
+    """
 
     __slots__ = (
         "g",

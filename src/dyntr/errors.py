@@ -7,6 +7,14 @@ class DynTrError(Exception):
     """Base class for every error raised by this package."""
 
 
+class BadUpdate(DynTrError, ValueError):
+    """An update names a vertex outside [1..n], a self-loop, or no edges.
+
+    Also a ``ValueError``, which these inputs raised before the class
+    existed.
+    """
+
+
 class DuplicateEdge(DynTrError):
     """An inserted edge is already present (or repeated within one batch)."""
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
-from .errors import CycleCreated, DuplicateEdge, MissingEdge, NotIncident
+from .errors import BadUpdate, CycleCreated, DuplicateEdge, MissingEdge, NotIncident
 
 Edge = tuple[int, int]
 
@@ -159,13 +159,13 @@ class TimestampedGraph:
         raw = list(new_edges)
         batch = sorted(set(raw))
         if not batch:
-            raise ValueError("empty insertion batch")
+            raise BadUpdate("empty insertion batch")
         if len(batch) != len(raw):
             raise DuplicateEdge("edge repeated within the batch")
         n = self.n
         for tail, head in batch:
             if not (1 <= tail <= n and 1 <= head <= n) or tail == head:
-                raise ValueError(f"bad edge ({tail}, {head})")
+                raise BadUpdate(f"bad edge ({tail}, {head})")
             if tail != center and head != center:
                 raise NotIncident(f"edge ({tail}, {head}) does not touch {center}")
             if (tail, head) in self.eid:
@@ -185,19 +185,25 @@ class TimestampedGraph:
         self.center_ts[center] = stamp
         return stamp
 
-    def apply_delete(self, edges: Iterable[Edge]) -> None:
-        """Remove a set of live edges from the graph and all snapshots."""
-        batch = list(edges)
+    def apply_delete(self, edges: Iterable[Edge]) -> list[int]:
+        """Remove a set of live edges from the graph and all snapshots.
+
+        Returns the ids of the removed edges, in batch order.  The whole
+        batch is validated before any edge is unlinked.
+        """
         ids = []
         seen = set()
-        for tail, head in batch:
+        for tail, head in edges:
             e = self.eid.get((tail, head), NIL)
-            if e == NIL or e in seen:
+            if e == NIL:
                 raise MissingEdge(f"edge ({tail}, {head}) is not live")
+            if e in seen:
+                raise DuplicateEdge("edge repeated within the batch")
             seen.add(e)
             ids.append(e)
         for e in ids:
             self._unlink(e)
+        return ids
 
     # ---- internals ----
 

@@ -10,19 +10,31 @@ the reduction is exactly the edges where all three are zero:
   head has an in-neighbor that properly descends from the tail;
 * ``ty[e]``: the mirrored head-rooted witness.
 
-A centered insertion refreshes only the center's reachability state and
-charges the counter changes to the center's snapshot, split between edges
-that were already visible there and edges that just became visible.  A
-deletion feeds every affected per-root state and converts the returned
-reachability deltas into counter decrements by scanning the snapshot
-edges that leave a vertex dropped from the ancestor side or enter a
-vertex dropped from the descendant side; witness bits are re-evaluated
-only where a cursor actually moved.
+A centered insertion refreshes only the center's reachability state.  An
+edge can gain a detour through the center only when its tail is a new
+ancestor and its head a new descendant of the center, so the counter
+increments come from scanning the out-edges of the new ancestors alone,
+split between edges that were already visible in the old snapshot and
+edges that just became visible.  The reduction flags are then refreshed
+on the edges whose counter moved and on the center's own edges (whose
+witness bits were rewritten, the fresh batch among them).
+
+A deletion visits a root only when a removed edge can hold one of its
+cursors.  Every cursor of a root z is a live snapshot edge with both
+endpoints among z's descendants (``p_in``/``c_in``) or both among its
+ancestors (``p_out``/``c_out``), so a removed edge (x, y) matters to z
+only if it lies in z's snapshot and x, y are both descendants or both
+ancestors of z; any other root would return empty deltas.  The visited
+roots' reachability deltas become counter decrements by scanning the
+snapshot edges that leave a vertex dropped from the ancestor side or
+enter a vertex dropped from the descendant side; witness bits are
+re-evaluated only where a cursor actually moved.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import compress
 
 from .dec_reach import DecReach
 from .errors import MissingEdge
@@ -60,37 +72,47 @@ class TrDag:
         self.states[center] = st
         ops = st.op_counter
         e_tail, e_head, e_ts = g.e_tail, g.e_head, g.e_ts
+        out_first, out_nxt = g.out_first, g.out_nxt
         desc_new, anc_new = st.desc, st.anc
         if old_state is not None:
             desc_old, anc_old = old_state.desc, old_state.anc
         else:
             desc_old = anc_old = None
-        for e in g.eid.values():
+        # the new snapshot holds every live edge, so no timestamp cut here
+        touched: list[int] = []
+        for x in compress(range(len(anc_new)), anc_new):
             ops += 1
-            x = e_tail[e]
-            y = e_head[e]
-            if x == center or y == center:
+            if x == center:
                 continue
-            if anc_new[x] and desc_new[y]:
-                if e_ts[e] <= old_limit:
-                    # visible before: charge only a detour that just appeared
-                    if not (anc_old[x] and desc_old[y]):
+            e = out_first[x]
+            while e != NIL:
+                ops += 1
+                y = e_head[e]
+                if desc_new[y] and y != center:
+                    if e_ts[e] <= old_limit:
+                        # visible before: charge only a detour that just appeared
+                        if not (anc_old[x] and desc_old[y]):
+                            count[e] += 1
+                            touched.append(e)
+                    else:
                         count[e] += 1
-                else:
-                    count[e] += 1
-        e = g.out_first[center]
+                        touched.append(e)
+                e = out_nxt[e]
+        e = out_first[center]
         while e != NIL:
             ops += 1
             tx[e] = 1 if st.in_query(e_head[e]) else 0
-            e = g.out_nxt[e]
+            touched.append(e)
+            e = out_nxt[e]
         e = g.in_first[center]
         while e != NIL:
             ops += 1
             ty[e] = 1 if st.out_query(e_tail[e]) else 0
+            touched.append(e)
             e = g.in_nxt[e]
         # fresh edges also get their far-side witness, read from the far
         # endpoint's state so the bits always match their definitions
-        for edge in set(batch):
+        for edge in batch:
             e = g.eid[edge]
             x, y = edge
             if x == center:
@@ -99,26 +121,18 @@ class TrDag:
             else:
                 far = self.states.get(x)
                 tx[e] = 1 if far is not None and far.in_query(y) else 0
-        red = self._red
-        tr_count = 0
-        for e in g.eid.values():
-            ops += 1
-            r = 1 if (count[e] or tx[e] or ty[e]) else 0
-            red[e] = r
-            tr_count += 1 - r
-        self.tr_count = tr_count
-        self.op_counter += ops
+        # fresh edges enter with red 0, i.e. counted in the reduction;
+        # they are among the center's edges, so touched covers them
+        self.tr_count += len(batch)
+        self._refresh_red(touched)
+        self.op_counter += ops + len(touched)
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
         g = self.g
         batch = list(removed)
-        ids = []
-        for edge in batch:
-            e = g.eid.get(edge)
-            if e is None:
-                raise MissingEdge(f"edge {edge} is not live")
-            ids.append(e)
-        g.apply_delete(batch)
+        if not batch:
+            return
+        ids = g.apply_delete(batch)
         e_tail, e_head, e_ts = g.e_tail, g.e_head, g.e_ts
         out_first, out_nxt = g.out_first, g.out_nxt
         in_first, in_nxt = g.in_first, g.in_nxt
@@ -128,12 +142,10 @@ class TrDag:
         for e in ids:
             self.tr_count -= 1 - red[e]
         touched: set[int] = set()
-        min_ts = min(e_ts[e] for e in ids)
-        ops = 0
-        for z, st in self.states.items():
+        # one filter probe per root and removed edge
+        ops = len(self.states) * len(ids)
+        for z, st in self._roots_to_visit(ids):
             limit = st.limit
-            if limit < min_ts:
-                continue
             before = st.op_counter
             d_delta, a_delta = st.delete(ids)
             ops += st.op_counter - before
@@ -170,13 +182,35 @@ class TrDag:
                     ops += 1
                     ty[e] = 1 if st.out_query(x) else 0
                     touched.add(e)
-        for e in touched:
-            ops += 1
+        self._refresh_red(touched)
+        self.op_counter += ops + len(touched)
+
+    def _roots_to_visit(self, ids: list[int]) -> list[tuple[int, DecReach]]:
+        """Roots of which some removed edge can hold a cursor.
+
+        Reads each state's reachability flags as they were before the
+        deletion; a root left out would get empty deltas from
+        ``DecReach.delete`` and no cursor reassignment.
+        """
+        g = self.g
+        ends = [(g.e_ts[e], g.e_tail[e], g.e_head[e]) for e in ids]
+        visit = []
+        for z, st in self.states.items():
+            limit, desc, anc = st.limit, st.desc, st.anc
+            for ts, x, y in ends:
+                if ts <= limit and ((desc[x] and desc[y]) or (anc[x] and anc[y])):
+                    visit.append((z, st))
+                    break
+        return visit
+
+    def _refresh_red(self, edges: Iterable[int]) -> None:
+        """Re-derive the reduction flag of each edge and the size count."""
+        count, tx, ty, red = self.count, self.tx, self.ty, self._red
+        for e in edges:
             r = 1 if (count[e] or tx[e] or ty[e]) else 0
             if r != red[e]:
                 red[e] = r
                 self.tr_count += 1 - 2 * r
-        self.op_counter += ops
 
     # ---- queries ----
 

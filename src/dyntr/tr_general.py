@@ -94,15 +94,7 @@ class TrGeneral:
         self._reaggregate()
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
-        g = self.g
-        batch = list(removed)
-        ids = []
-        for edge in batch:
-            e = g.eid.get(edge)
-            if e is None:
-                raise MissingEdge(f"edge {edge} is not live")
-            ids.append(e)
-        g.apply_delete(batch)
+        ids = self.g.apply_delete(removed)
         self.scc.delete(ids)
         self._reaggregate()
 

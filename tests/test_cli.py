@@ -21,7 +21,13 @@ from dyntr.cli import (
     run_stream,
     serialize_stream,
 )
-from dyntr.errors import CycleCreated, MissingEdge, ParseError, StreamCheckError
+from dyntr.errors import (
+    CycleCreated,
+    DuplicateEdge,
+    MissingEdge,
+    ParseError,
+    StreamCheckError,
+)
 from dyntr.graph_core import InsertCentered
 from dyntr.oracle import random_update_stream, validity_triple
 
@@ -259,6 +265,14 @@ class TestMain:
         assert cli.main(["run", str(path)]) == 2
         assert "engine error" in capsys.readouterr().err
 
+    def test_self_loop_is_an_engine_error(self, tmp_path, capsys):
+        path = tmp_path / "loop.txt"
+        path.write_text("dtr v1 n=2 mode=dag\nins 1 1 1\n", encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 2
+        assert "engine error: line 2 (ins 1 1 1): bad edge (1, 1)" in (
+            capsys.readouterr().err
+        )
+
     def test_check_mismatch_exits_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "brute_tr_dag", lambda n, edges: set())
         path = tmp_path / "s.txt"
@@ -281,6 +295,35 @@ class TestMain:
         )
         assert code == 2
         assert "io error" in capsys.readouterr().err
+
+
+ENGINES = [("dag", "comb"), ("dag", "alg"), ("general", "comb"), ("general", "alg")]
+
+
+def d3_on(mode, engine):
+    eng = make_engine(mode, engine, 3, seed=5)
+    eng.insert_centered(1, [(1, 2), (1, 3)])
+    eng.insert_centered(3, [(3, 2)])
+    return eng
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES)
+def test_empty_deletion_is_a_no_op(mode, engine):
+    eng = d3_on(mode, engine)
+    eng.delete_edges([])
+    assert eng.tr_edges() == [(1, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES)
+def test_repeated_edge_in_a_deletion_batch_changes_nothing(mode, engine):
+    eng = d3_on(mode, engine)
+    with pytest.raises(DuplicateEdge, match="edge repeated within the batch"):
+        eng.delete_edges([(1, 3), (1, 3)])
+    assert eng.g.edge_list() == [(1, 2), (1, 3), (3, 2)]
+    assert eng.tr_edges() == [(1, 3), (3, 2)]
+    assert eng.is_redundant(1, 2) is True
+    eng.delete_edges([(1, 3)])
+    assert eng.tr_edges() == [(1, 2), (3, 2)]
 
 
 @st.composite

@@ -7,7 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dyntr import oracle
-from dyntr.errors import CycleCreated, DuplicateEdge, MissingEdge, NotIncident
+from dyntr.errors import (
+    BadUpdate,
+    CycleCreated,
+    DuplicateEdge,
+    MissingEdge,
+    NotIncident,
+)
 from dyntr.graph_core import DeleteSet, InsertCentered, TimestampedGraph
 
 PROPERTY_SETTINGS = settings(
@@ -47,6 +53,15 @@ def test_insert_not_incident():
     g = TimestampedGraph(3)
     with pytest.raises(NotIncident):
         g.apply_insert_centered(1, [(2, 3)])
+
+
+@pytest.mark.parametrize("batch", [[], [(1, 1)], [(1, 4)], [(0, 1)]])
+def test_bad_insertion_is_a_dyntr_value_error(batch):
+    g = TimestampedGraph(3)
+    with pytest.raises(BadUpdate) as err:
+        g.apply_insert_centered(1, batch)
+    assert isinstance(err.value, ValueError)
+    assert g.m == 0 and g.last_ts == 0
 
 
 def test_insert_duplicate():

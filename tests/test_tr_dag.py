@@ -1,11 +1,14 @@
 """DAG transitive-reduction engine: frozen examples and oracle equivalence."""
 
+import copy
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dyntr import DeleteSet, InsertCentered
 from dyntr.errors import MissingEdge
+from dyntr.graph_core import NIL
 from dyntr.oracle import (
     brute_tr_dag,
     random_update_stream,
@@ -164,3 +167,43 @@ def test_redundancy_query_agrees_with_reduction(case):
         tr = set(eng.tr_edges())
         for edge in eng.g.edge_list():
             assert eng.is_redundant(*edge) == (edge not in tr)
+
+
+@given(dag_streams())
+@PROPERTY_SETTINGS
+def test_every_cursor_has_both_endpoints_on_its_side(case):
+    n, updates = case
+    eng = TrDag(n)
+    g = eng.g
+    for upd in updates:
+        drive(eng, upd)
+        for st_ in eng.states.values():
+            for v in range(1, n + 1):
+                for cursors, side in (
+                    ((st_.p_in[v], st_.c_in[v]), st_.desc),
+                    ((st_.p_out[v], st_.c_out[v]), st_.anc),
+                ):
+                    for e in cursors:
+                        if e != NIL:
+                            assert g.e_live[e] and g.e_ts[e] <= st_.limit
+                            assert side[g.e_tail[e]] and side[g.e_head[e]]
+
+
+@given(dag_streams())
+@PROPERTY_SETTINGS
+def test_roots_the_deletion_filter_skips_are_no_ops(case):
+    n, updates = case
+    eng = TrDag(n)
+    for upd in updates:
+        if isinstance(upd, InsertCentered):
+            drive(eng, upd)
+            continue
+        ids = [eng.g.eid[edge] for edge in upd.edges]
+        visited = {z for z, _ in eng._roots_to_visit(ids)}
+        drive(eng, upd)
+        for z, st_ in eng.states.items():
+            if z in visited:
+                continue
+            probe = copy.deepcopy(st_)
+            assert probe.delete(ids) == ([], [])
+            assert not probe.touched_in and not probe.touched_out
