@@ -34,8 +34,9 @@ from .errors import (
     SingularMatrix,
 )
 from .graph_core import Edge, TimestampedGraph
-from .scc_snapshots import _strong_components
-from .tr_general import minimal_scss
+from .scc_snapshots import condensation
+# minimal_scss stays bound here too: the benchmark's layer trace wraps it
+from .tr_general import general_reduction, has_detour, minimal_scss  # noqa: F401
 
 FIELD_PRIME = (1 << 61) - 1
 
@@ -144,28 +145,6 @@ class InverseState:
         )
         col = _mulmod(self.minv[:, i], factor)
         self.minv = _submod(self.minv, _mulmod(col[:, None], self.minv[j][None, :]))
-        self.generation += 1
-
-    def row_update(self, i: int, new_row: Sequence[int]) -> None:
-        """Replace row i wholesale in one rank-1 correction."""
-        row = np.asarray(
-            [int(v) % FIELD_PRIME for v in new_row], dtype=np.uint64
-        )
-        if row.shape != (self.size,):
-            raise ValueError(f"row length {row.shape} != {self.size}")
-        diff = _submod(row, self.m[i])
-        if not diff.any():
-            return
-        col = self.minv[:, i]
-        denom_terms = _fold_axis0(_mulmod(diff, col)[:, None])
-        denom = (1 + int(denom_terms[0])) % FIELD_PRIME
-        if denom == 0:
-            raise DenominatorZero(f"row update at {i} makes M singular")
-        self.m[i] = row
-        w = _fold_axis0(_mulmod(diff[:, None], self.minv))
-        factor = np.uint64(pow(denom, FIELD_PRIME - 2, FIELD_PRIME))
-        scaled = _mulmod(col, factor)
-        self.minv = _submod(self.minv, _mulmod(scaled[:, None], w[None, :]))
         self.generation += 1
 
     def entry(self, i: int, j: int) -> int:
@@ -313,9 +292,6 @@ class AlgebraicDag:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
         return self.state.entry(x - 1, 2 * self.n + y - 1) != 0
 
-    def redundant_edges(self) -> set[Edge]:
-        return {e for e in self.g.eid if self.is_redundant(*e)}
-
     def tr_edges(self) -> list[Edge]:
         return sorted(e for e in self.g.eid if not self.is_redundant(*e))
 
@@ -339,31 +315,27 @@ class AlgebraicGeneral:
     # ---- rebuild paths ----
 
     def _rebuild(self) -> None:
-        n = self.n
-        m = np.zeros((n, n), dtype=np.uint64)
-        for v in range(1, n + 1):
-            m[v - 1, v - 1] = np.uint64(self._loops[v])
-        for (u, v), x in self._vars.items():
-            m[u - 1, v - 1] = np.uint64(x)
-        try:
-            minv = matrix_inverse(m)
-        except SingularMatrix:
-            self._resample_all()
-            m = np.zeros((n, n), dtype=np.uint64)
-            for v in range(1, n + 1):
-                m[v - 1, v - 1] = np.uint64(self._loops[v])
-            for (u, v), x in self._vars.items():
-                m[u - 1, v - 1] = np.uint64(x)
-            minv = matrix_inverse(m)
-        self.state.m = m
-        self.state.minv = minv
-        self.state.generation += 1
+        """Invert the matrix afresh, resampling every value while singular.
 
-    def _resample_all(self) -> None:
-        for v in range(1, self.n + 1):
-            self._loops[v] = self._rng.randrange(1, FIELD_PRIME)
-        for edge in self._vars:
-            self._vars[edge] = self._rng.randrange(1, FIELD_PRIME)
+        The loop and edge values and the matrix pair are committed together,
+        only once an inversion succeeds.
+        """
+        loops, xs, rng = self._loops, self._vars, self._rng
+        while True:
+            m = np.zeros((self.n, self.n), dtype=np.uint64)
+            for v in range(1, self.n + 1):
+                m[v - 1, v - 1] = np.uint64(loops[v])
+            for (u, v), x in xs.items():
+                m[u - 1, v - 1] = np.uint64(x)
+            try:
+                minv = matrix_inverse(m)
+                break
+            except SingularMatrix:
+                loops = [0] + [rng.randrange(1, FIELD_PRIME) for _ in range(self.n)]
+                xs = {edge: rng.randrange(1, FIELD_PRIME) for edge in xs}
+        self._loops, self._vars = loops, xs
+        self.state.m, self.state.minv = m, minv
+        self.state.generation += 1
 
     # ---- updates ----
 
@@ -418,69 +390,27 @@ class AlgebraicGeneral:
             total = (total + term) % FIELD_PRIME
         return total != 0
 
-    def _condensation(self):
-        out_adj: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for t, h in self.g.eid:
-            out_adj[t].append(h)
-        return _strong_components(self.n, out_adj)
-
     def tr_edges(self) -> list[Edge]:
-        g = self.g
-        comp = self._condensation()
-        members: dict[int, list[int]] = {}
-        for v in range(1, g.n + 1):
-            members.setdefault(comp[v], []).append(v)
-        intra: dict[int, list[tuple[int, Edge]]] = {}
-        groups: dict[tuple[int, int], list[tuple[int, Edge]]] = {}
-        for (t, h), e in g.eid.items():
-            ct, ch = comp[t], comp[h]
-            if ct == ch:
-                intra.setdefault(ct, []).append((g.e_ts[e], (t, h)))
-            else:
-                groups.setdefault((ct, ch), []).append((g.e_ts[e], (t, h)))
-        result: list[Edge] = []
-        for cid, verts in members.items():
-            if len(verts) < 2:
-                continue
-            tagged = sorted(intra.get(cid, []))
-            result.extend(minimal_scss(verts, [e for _, e in tagged]))
-        smallest = {cid: min(verts) for cid, verts in members.items()}
-        for (cf, ct_), tagged in groups.items():
-            tagged.sort()
-            edge_list = [e for _, e in tagged]
-            if not self.group_redundant(edge_list, smallest[cf], smallest[ct_]):
-                result.append(edge_list[0])
-        return sorted(result)
+        comp = condensation(self.g)
+        smallest: dict[int, int] = {}
+        for v in range(1, self.n + 1):
+            smallest.setdefault(comp[v], v)
+
+        def keep_group(members: list[Edge], cf: int, ct: int) -> bool:
+            return not self.group_redundant(members, smallest[cf], smallest[ct])
+
+        return general_reduction(self.g, comp, keep_group)
 
     def is_redundant(self, x: int, y: int) -> bool:
         g = self.g
         if (x, y) not in g.eid:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
-        comp = self._condensation()
-        if comp[x] != comp[y]:
-            tagged = sorted(
-                (g.e_ts[e], (t, h))
-                for (t, h), e in g.eid.items()
-                if comp[t] == comp[x] and comp[h] == comp[y]
-            )
-            if len(tagged) > 1:
-                return True
-            r = min(v for v in range(1, g.n + 1) if comp[v] == comp[x])
-            t = min(v for v in range(1, g.n + 1) if comp[v] == comp[y])
-            return self.group_redundant([e for _, e in tagged], r, t)
-        out_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
-        for t, h in g.eid:
-            if (t, h) != (x, y):
-                out_adj[t].append(h)
-        seen = bytearray(g.n + 1)
-        seen[x] = 1
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            for w in out_adj[v]:
-                if w == y:
-                    return True
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-        return False
+        comp = condensation(g)
+        cx, cy = comp[x], comp[y]
+        if cx == cy:
+            return has_detour(g, x, y)
+        group = [(t, h) for t, h in g.eid if comp[t] == cx and comp[h] == cy]
+        # comp[0] is -1, so index() finds each component's smallest vertex
+        return len(group) > 1 or self.group_redundant(
+            group, comp.index(cx), comp.index(cy)
+        )

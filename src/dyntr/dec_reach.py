@@ -49,8 +49,6 @@ class DecReach:
         "c_in",
         "p_out",
         "c_out",
-        "d_delta",
-        "a_delta",
         "touched_in",
         "touched_out",
         "op_counter",
@@ -136,8 +134,6 @@ class DecReach:
         self.anc = anc
         self.p_in, self.c_in = p_in, c_in
         self.p_out, self.c_out = p_out, c_out
-        self.d_delta: list[int] = []
-        self.a_delta: list[int] = []
         self.touched_in: set[int] = set()
         self.touched_out: set[int] = set()
         self.op_counter = ops
@@ -293,8 +289,6 @@ class DecReach:
                     pos = out_nxt[pos]
                 c_out[x] = new_c
 
-        self.d_delta = d_delta
-        self.a_delta = a_delta
         self.touched_in = touched_in
         self.touched_out = touched_out
         self.op_counter += ops

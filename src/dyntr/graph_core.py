@@ -102,9 +102,6 @@ class TimestampedGraph:
 
     # ---- queries ----
 
-    def has_edge(self, tail: int, head: int) -> bool:
-        return (tail, head) in self.eid
-
     def ts_of(self, tail: int, head: int) -> int:
         """Timestamp of a live edge."""
         try:
@@ -136,16 +133,6 @@ class TimestampedGraph:
         while e != NIL and e_ts[e] <= limit:
             yield (e_tail[e], e_head[e])
             e = nxt[e]
-
-    def snapshot_edge_ids(self, root: int) -> Iterator[int]:
-        """Ids of every live edge in the snapshot of ``root``."""
-        limit = self.center_ts[root]
-        e_ts, out_nxt = self.e_ts, self.out_nxt
-        for v in range(1, self.n + 1):
-            e = self.out_first[v]
-            while e != NIL and e_ts[e] <= limit:
-                yield e
-                e = out_nxt[e]
 
     # ---- mutation ----
 

@@ -3,11 +3,9 @@
 Each centered vertex keeps a view of its frozen snapshot: the SCC
 partition, descendant/ancestor sets, and per-SCC witness flags answering
 in O(1) whether a component is entered from a proper descendant of the
-root (or left toward a proper ancestor).  Deletions rebuild the views of
-the snapshots that actually contain a removed edge and report the diff:
-vertices dropped from either reachability set, components that split,
-former intra-component edges now crossing components, and components
-whose witness answer flipped off.
+root (or left toward a proper ancestor).  A deletion rebuilds from
+scratch the view of every snapshot that held a removed edge; every other
+view is left as it was.
 
 A global table of parallel edge groups is kept alongside, on the current
 graph: all live edges joining the same ordered pair of components form
@@ -63,6 +61,14 @@ def _strong_components(n: int, out_adj: list[list[int]]) -> list[int]:
     return comp
 
 
+def condensation(g: TimestampedGraph) -> list[int]:
+    """Component id of every vertex of the current graph."""
+    out_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for t, h in g.eid:
+        out_adj[t].append(h)
+    return _strong_components(g.n, out_adj)
+
+
 def _bfs_flags(n: int, adj: list[list[int]], src: int) -> bytearray:
     flags = bytearray(n + 1)
     flags[src] = 1
@@ -91,18 +97,6 @@ class ParallelGroup:
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-@dataclass(frozen=True)
-class RootDelta:
-    """What one root's snapshot view lost in the latest deletion."""
-
-    root: int
-    d_delta: tuple[int, ...]
-    a_delta: tuple[int, ...]
-    split_log: tuple[tuple[frozenset[int], frozenset[frozenset[int]]], ...]
-    new_inter: tuple[Edge, ...]
-    s_set: frozenset[frozenset[int]]
 
 
 class _RootView:
@@ -181,87 +175,20 @@ class SccSnapshots:
 
     # ---- deletion ----
 
-    def delete(self, removed_ids: Iterable[int]) -> dict[int, RootDelta]:
+    def delete(self, removed_ids: Iterable[int]) -> None:
+        """Rebuild every view whose snapshot held one of the removed ids."""
         g = self.g
         ids = list(removed_ids)
-        if ids:
-            min_ts = min(g.e_ts[e] for e in ids)
-        else:
-            min_ts = None
-        deltas: dict[int, RootDelta] = {}
-        for root, old in list(self.views.items()):
-            if min_ts is None or old.limit < min_ts:
-                continue
-            if not any(g.e_ts[e] <= old.limit for e in ids):
-                continue
-            new = self._build_view(root)
-            self.views[root] = new
-            deltas[root] = self._diff(old, new)
+        for root, old in self.views.items():
+            if any(g.e_ts[e] <= old.limit for e in ids):
+                self.views[root] = self._build_view(root)
         self.refresh_groups()
-        return deltas
-
-    def _diff(self, old: _RootView, new: _RootView) -> RootDelta:
-        n = self.g.n
-        d_delta = tuple(
-            v for v in range(1, n + 1) if old.desc[v] and not new.desc[v]
-        )
-        a_delta = tuple(
-            v for v in range(1, n + 1) if old.anc[v] and not new.anc[v]
-        )
-        old_members: dict[int, list[int]] = {}
-        for v in range(1, n + 1):
-            old_members.setdefault(old.scc_of[v], []).append(v)
-        split_entries = []
-        for members in old_members.values():
-            parts: dict[int, list[int]] = {}
-            for v in members:
-                parts.setdefault(new.scc_of[v], []).append(v)
-            if len(parts) > 1:
-                split_entries.append(
-                    (
-                        frozenset(members),
-                        frozenset(frozenset(p) for p in parts.values()),
-                    )
-                )
-        new_inter = tuple(
-            sorted(
-                (t, h)
-                for (t, h), e in self.g.eid.items()
-                if self.g.e_ts[e] <= new.limit
-                and old.scc_of[t] == old.scc_of[h]
-                and new.scc_of[t] != new.scc_of[h]
-            )
-        )
-        flipped: set[frozenset[int]] = set()
-        new_members: dict[int, frozenset[int]] = {}
-        for v in range(1, n + 1):
-            in_drop = old.in_answer(v) and not new.in_answer(v)
-            out_drop = old.out_answer(v) and not new.out_answer(v)
-            if in_drop or out_drop:
-                cid = new.scc_of[v]
-                if cid not in new_members:
-                    new_members[cid] = frozenset(
-                        u for u in range(1, n + 1) if new.scc_of[u] == cid
-                    )
-                flipped.add(new_members[cid])
-        return RootDelta(
-            old.root,
-            d_delta,
-            a_delta,
-            tuple(split_entries),
-            new_inter,
-            frozenset(flipped),
-        )
 
     # ---- parallel groups on the current graph ----
 
     def refresh_groups(self) -> None:
         g = self.g
-        out_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
-        for t, h in g.eid:
-            out_adj[t].append(h)
-        comp = _strong_components(g.n, out_adj)
-        self.comp_cur = comp
+        comp = self.comp_cur = condensation(g)
         buckets: dict[tuple[int, int], list[tuple[int, Edge]]] = {}
         for (t, h), e in g.eid.items():
             cx, cy = comp[t], comp[h]

@@ -4,12 +4,16 @@ Edges inside a strongly connected component are covered by an
 inclusion-minimal strongly connected spanning subset of that component;
 edges between components are covered by per-edge redundancy ledgers plus
 the one marked representative of every parallel group.  This module owns
-the minimal spanning-subset routine and the engine assembling both parts.
+the minimal spanning-subset routine, ``general_reduction``, which
+assembles both parts for ``TrGeneral`` and ``AlgebraicGeneral`` alike
+(each engine supplies the test deciding whether a parallel group keeps
+its representative), ``has_detour``, the direct path probe both engines
+use for an edge inside one component, and the combinatorial engine.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .errors import MissingEdge, NotStronglyConnected
 from .graph_core import Edge, TimestampedGraph
@@ -62,6 +66,61 @@ def minimal_scss(
         if not _covers_strongly(verts, kept):
             kept.add(e)
     return kept
+
+
+def general_reduction(
+    g: TimestampedGraph,
+    comp: Sequence[int],
+    keep_group: Callable[[list[Edge], int, int], bool],
+) -> list[Edge]:
+    """The reduction of ``g`` under the component labeling ``comp``.
+
+    Inside each component: the minimal spanning subset of its edges,
+    probed oldest first.  Between components: the oldest member of each
+    parallel group, ordered by ``(timestamp, edge)``, whenever
+    ``keep_group(members, from_comp, to_comp)`` says the group keeps it.
+    """
+    members: dict[int, list[int]] = {}
+    for v in range(1, g.n + 1):
+        members.setdefault(comp[v], []).append(v)
+    intra: dict[int, list[tuple[int, Edge]]] = {}
+    groups: dict[tuple[int, int], list[tuple[int, Edge]]] = {}
+    for (t, h), e in g.eid.items():
+        ct, ch = comp[t], comp[h]
+        if ct == ch:
+            intra.setdefault(ct, []).append((g.e_ts[e], (t, h)))
+        else:
+            groups.setdefault((ct, ch), []).append((g.e_ts[e], (t, h)))
+    result: list[Edge] = []
+    for cid, verts in members.items():
+        if len(verts) > 1:
+            tagged = sorted(intra.get(cid, []))
+            result.extend(minimal_scss(verts, [e for _, e in tagged]))
+    for (cf, ct), tagged in groups.items():
+        edges = [e for _, e in sorted(tagged)]
+        if keep_group(edges, cf, ct):
+            result.append(edges[0])
+    return sorted(result)
+
+
+def has_detour(g: TimestampedGraph, x: int, y: int) -> bool:
+    """True iff ``y`` is reachable from ``x`` without the edge (x, y)."""
+    out_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for t, h in g.eid:
+        if (t, h) != (x, y):
+            out_adj[t].append(h)
+    seen = bytearray(g.n + 1)
+    seen[x] = 1
+    stack = [x]
+    while stack:
+        v = stack.pop()
+        for w in out_adj[v]:
+            if w == y:
+                return True
+            if not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+    return False
 
 
 class TrGeneral:
@@ -145,57 +204,23 @@ class TrGeneral:
     # ---- queries ----
 
     def tr_edges(self) -> list[Edge]:
-        g = self.g
-        comp = self.scc.comp_cur
-        members: dict[int, list[int]] = {}
-        for v in range(1, g.n + 1):
-            members.setdefault(comp[v], []).append(v)
-        intra: dict[int, list[tuple[int, Edge]]] = {}
-        for (t, h), e in g.eid.items():
-            cid = comp[t]
-            if cid == comp[h]:
-                intra.setdefault(cid, []).append((g.e_ts[e], (t, h)))
-        result: list[Edge] = []
-        for cid, verts in members.items():
-            if len(verts) < 2:
-                continue
-            tagged = sorted(intra.get(cid, []))
-            result.extend(minimal_scss(verts, [e for _, e in tagged]))
         count, tx, ty = self.count, self.tx, self.ty
-        for group in self.scc.groups.values():
-            e = group.marked
-            if count[e] == 0 and not tx[e] and not ty[e]:
-                result.append(e)
-        return sorted(result)
+
+        def keep_group(members: list[Edge], cf: int, ct: int) -> bool:
+            e = members[0]
+            return count[e] == 0 and not tx[e] and not ty[e]
+
+        return general_reduction(self.g, self.scc.comp_cur, keep_group)
 
     def is_redundant(self, x: int, y: int) -> bool:
-        g = self.g
-        if (x, y) not in g.eid:
+        if (x, y) not in self.g.eid:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
         comp = self.scc.comp_cur
-        if comp[x] != comp[y]:
-            e = (x, y)
-            group = self.scc.groups[(comp[x], comp[y])]
-            return bool(
-                group.size > 1 or self.count[e] or self.tx[e] or self.ty[e]
-            )
-        # inside one component: probe for an alternative path directly
-        out_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
-        for t, h in g.eid:
-            if (t, h) != (x, y):
-                out_adj[t].append(h)
-        seen = bytearray(g.n + 1)
-        seen[x] = 1
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            for w in out_adj[v]:
-                if w == y:
-                    return True
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-        return False
+        if comp[x] == comp[y]:
+            return has_detour(self.g, x, y)
+        e = (x, y)
+        group = self.scc.groups[(comp[x], comp[y])]
+        return bool(group.size > 1 or self.count[e] or self.tx[e] or self.ty[e])
 
     def ledgers(self) -> tuple[dict[Edge, int], dict[Edge, bool], dict[Edge, bool]]:
         """Live inter-component edge view of the maintained ledgers."""

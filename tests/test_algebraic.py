@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dyntr import DeleteSet, InsertCentered, TrDag, TrGeneral
+from dyntr import DeleteSet, InsertCentered, TrDag, TrGeneral, algebraic
 from dyntr.algebraic import (
     FIELD_PRIME,
     AlgebraicDag,
@@ -141,21 +141,6 @@ class TestInverseState:
                 st_.rank1_update(
                     rng.randrange(6), rng.randrange(6), rng.randrange(P)
                 )
-            except DenominatorZero:
-                continue
-            applied += 1
-            assert np.array_equal(st_.minv, matrix_inverse(st_.m))
-
-    def test_row_update_tracks_fresh_inversion(self):
-        rng = random.Random(32)
-        st_ = InverseState(6)
-        for _ in range(10):
-            st_.rank1_update(rng.randrange(6), rng.randrange(6), rng.randrange(P))
-        applied = 0
-        while applied < 12:
-            row = [rng.randrange(P) for _ in range(6)]
-            try:
-                st_.row_update(rng.randrange(6), row)
             except DenominatorZero:
                 continue
             applied += 1
@@ -306,6 +291,36 @@ class TestGeneralEngine:
         eng._rebuild()
         assert np.array_equal(eng.state.m, m0)
         assert np.array_equal(eng.state.minv, inv0)
+
+    @pytest.mark.parametrize("failures", [1, 2])
+    def test_singular_rebuild_commits_values_with_matrix(self, monkeypatch, failures):
+        eng = AlgebraicGeneral(5, seed=8)
+        ref = TrGeneral(5)
+        for center, batch in [(1, [(1, 2), (2, 1)]), (3, [(2, 3), (3, 4)])]:
+            eng.insert_centered(center, batch)
+            ref.insert_centered(center, batch)
+        loops0, vars0 = list(eng._loops), dict(eng._vars)
+        calls = []
+
+        def flaky_inverse(m):
+            calls.append(m)
+            if len(calls) <= failures:
+                raise SingularMatrix("forced")
+            return matrix_inverse(m)
+
+        monkeypatch.setattr(algebraic, "matrix_inverse", flaky_inverse)
+        eng._rebuild()
+        assert len(calls) == failures + 1
+        assert eng._loops != loops0
+        assert set(eng._vars) == set(vars0) and eng._vars != vars0
+        expected = np.zeros((5, 5), dtype=np.uint64)
+        for v in range(1, 6):
+            expected[v - 1, v - 1] = eng._loops[v]
+        for (u, v), x in eng._vars.items():
+            expected[u - 1, v - 1] = x
+        assert np.array_equal(eng.state.m, expected)
+        assert eng.state.full_product_is_identity()
+        assert eng.tr_edges() == ref.tr_edges()
 
 
 class TestInitInverse:

@@ -11,6 +11,7 @@ from dyntr.oracle import (
     recompute_scc_inout,
     scc_partition,
     snapshot_edges_of,
+    transitive_closure,
 )
 from dyntr.scc_snapshots import SccSnapshots
 
@@ -92,16 +93,21 @@ class TestGroups:
 class TestDelete:
     def test_c3_split_reports_new_inter_edges(self):
         g, scc = c3_fixture()
+        view = scc.views[3]
+        assert len({view.scc_of[v] for v in (1, 2, 3)}) == 1
+        assert scc.groups == {}
         eid = g.eid[(1, 2)]
         g.apply_delete([(1, 2)])
-        deltas = scc.delete([eid])
-        # root 3 holds the full cycle, so its view must split
-        d3 = deltas[3]
-        assert d3.split_log == (
-            (frozenset({1, 2, 3}), frozenset({frozenset({1}), frozenset({2}), frozenset({3})})),
-        )
-        assert d3.new_inter == ((2, 3), (3, 1))
-        assert d3.d_delta == (2,)
+        scc.delete([eid])
+        # root 3 held the full cycle, so its view splits into singletons
+        view = scc.views[3]
+        assert len({view.scc_of[v] for v in (1, 2, 3)}) == 3
+        assert [v for v in (1, 2, 3) if view.desc[v]] == [1, 3]
+        # the former cycle edges now cross components, each alone
+        assert sorted(grp.members for grp in scc.groups.values()) == [
+            ((2, 3),),
+            ((3, 1),),
+        ]
 
     def test_older_snapshots_left_alone(self):
         g = TimestampedGraph(3)
@@ -110,25 +116,34 @@ class TestDelete:
         scc.rebuild(1)
         g.apply_insert_centered(3, [(2, 3)])
         scc.rebuild(3)
+        old1, old3 = scc.views[1], scc.views[3]
         eid = g.eid[(2, 3)]
         g.apply_delete([(2, 3)])
-        deltas = scc.delete([eid])
-        assert set(deltas) == {3}
+        scc.delete([eid])
+        assert scc.views[1] is old1
         assert scc.views[1].limit == 1
+        assert scc.views[3] is not old3
 
     def test_two_cycle_intra_split(self):
         g, scc = two_cycle_fixture()
+        assert scc.views[1].desc[2] == 1
         eid = g.eid[(1, 2)]
         g.apply_delete([(1, 2)])
-        deltas = scc.delete([eid])
+        scc.delete([eid])
         group = scc.parallel_group(2, 4)
         assert group.size == 1
-        # component A fell apart in every view that held both cycle edges
-        assert any(
-            (frozenset({1, 2}), frozenset({frozenset({1}), frozenset({2})}))
-            in delta.split_log
-            for delta in deltas.values()
-        )
+        # component A fell apart in every view, since each held both
+        # cycle edges, while B = {3, 4} stayed whole
+        for view in scc.views.values():
+            assert view.scc_of[1] != view.scc_of[2]
+            assert view.scc_of[3] == view.scc_of[4]
+        assert scc.views[1].desc[2] == 0
+        comp = scc.comp_cur
+        assert set(scc.groups) == {
+            (comp[1], comp[3]),
+            (comp[2], comp[3]),
+            (comp[2], comp[1]),
+        }
 
 
 def test_chain_witness_through_middle():
@@ -273,37 +288,22 @@ def test_deletion_deltas_are_sound(case):
             scc.rebuild(upd.center)
             continue
         before = {
-            root: (bytes(view.desc), bytes(view.anc), list(view.scc_of))
+            root: (view, bytes(view.desc), bytes(view.anc), list(view.scc_of))
             for root, view in scc.views.items()
         }
-        answers = {
-            root: (
-                [scc.in_query(v, root) for v in range(n + 1)],
-                [scc.out_query(v, root) for v in range(n + 1)],
-            )
-            for root in scc.views
-        }
+        stamps = [g.ts_of(*e) for e in upd.edges]
         ids = [g.eid[e] for e in upd.edges]
         g.apply_delete(upd.edges)
-        deltas = scc.delete(ids)
-        for root, delta in deltas.items():
-            desc_b, anc_b, _ = before[root]
-            view = scc.views[root]
-            assert set(delta.d_delta) == {
-                v for v in range(1, n + 1) if desc_b[v] and not view.desc[v]
-            }
-            assert set(delta.a_delta) == {
-                v for v in range(1, n + 1) if anc_b[v] and not view.anc[v]
-            }
-            in_b, out_b = answers[root]
-            for v in range(1, n + 1):
-                in_dropped = in_b[v] and not scc.in_query(v, root)
-                out_dropped = out_b[v] and not scc.out_query(v, root)
-                in_s_set = any(v in members for members in delta.s_set)
-                assert (in_dropped or out_dropped) == in_s_set
+        scc.delete(ids)
+        assert set(scc.views) == set(before)
         for root, view in scc.views.items():
-            if root not in deltas:
-                desc_b, anc_b, scc_b = before[root]
+            reach = transitive_closure(n, snapshot_edges_of(g, root))
+            for v in range(1, n + 1):
+                assert view.desc[v] == reach[root] >> v & 1
+                assert view.anc[v] == reach[v] >> root & 1
+            old, desc_b, anc_b, scc_b = before[root]
+            if not any(ts <= old.limit for ts in stamps):
+                assert view is old
                 assert bytes(view.desc) == desc_b
                 assert bytes(view.anc) == anc_b
                 assert view.scc_of == scc_b
