@@ -9,11 +9,16 @@ rank-1 corrections in O(size^2) arithmetic per edge change:
   linking a tail to the twice-shifted head is a sum over detours of
   length at least two, so the edge is redundant exactly when that entry
   is nonzero, up to a vanishing false-zero probability.
-* General mode inverts the random adjacency matrix itself, kept
-  invertible by a random self-loop on every vertex.  A parallel group of
-  edges between two components is redundant exactly when one signed
-  combination of inverse entries is nonzero, again up to vanishing
-  error; self-loops never appear in any reported output.
+* General mode inverts the random adjacency matrix M itself, kept
+  invertible by a random self-loop on every vertex; self-loops never
+  appear in any reported output.  ``is_redundant`` reads one edge off
+  the single-edge identity: with B = M^-1 and a the edge's value,
+  B[x,y]*(1 - a*B[y,x]) + a*B[x,x]*B[y,y] is the (x, y) cofactor of M
+  without the edge, divided by det M, so it is nonzero exactly when the
+  edge has a detour.  ``tr_edges`` uses the group identity: a parallel
+  group of edges between two components is redundant exactly when one
+  signed combination of inverse entries is nonzero.  Both hold up to
+  vanishing error.
 
 The modulus is the Mersenne prime 2^61 - 1, so 64-bit vectorized
 reduction only needs shifts and masks; products are split 31/30 bits to
@@ -22,21 +27,17 @@ stay below 2^64.
 
 from __future__ import annotations
 
+import os
 import random
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    CyclicInput,
-    DenominatorZero,
-    MissingEdge,
-    SingularMatrix,
-)
+from .errors import DenominatorZero, MissingEdge, SingularMatrix, TooLarge
 from .graph_core import Edge, TimestampedGraph
 from .scc_snapshots import condensation
 # minimal_scss stays bound here too: the benchmark's layer trace wraps it
-from .tr_general import general_reduction, has_detour, minimal_scss  # noqa: F401
+from .tr_general import general_reduction, minimal_scss  # noqa: F401
 
 FIELD_PRIME = (1 << 61) - 1
 
@@ -47,6 +48,10 @@ _S31 = np.uint64(31)
 _S30 = np.uint64(30)
 _S61 = np.uint64(61)
 _ONE = np.uint64(1)
+
+# size x size uint64 arrays alive at the peak: m and minv held, plus the
+# temporaries of matrix_inverse (about 11 in all) or rank1_update (about 9)
+_PEAK_MATRICES = 12
 
 
 def _modfold(x: np.ndarray) -> np.ndarray:
@@ -126,6 +131,13 @@ class InverseState:
     __slots__ = ("size", "m", "minv", "generation")
 
     def __init__(self, size: int) -> None:
+        need = _PEAK_MATRICES * size * size * 8
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise TooLarge(
+                f"a {size}x{size} inverse needs about {need >> 20} MiB, "
+                f"more than the {have >> 20} MiB of physical memory"
+            )
         self.size = size
         self.m = _identity(size)
         self.minv = _identity(size)
@@ -170,85 +182,6 @@ class InverseState:
         return np.array_equal(out, _identity(self.size))
 
 
-# ---- DAG reduction graph ----
-
-
-def _check_acyclic(n: int, edges: Sequence[Edge]) -> None:
-    indeg = [0] * (n + 1)
-    out: list[list[int]] = [[] for _ in range(n + 1)]
-    for t, h in edges:
-        out[t].append(h)
-        indeg[h] += 1
-    queue = [v for v in range(1, n + 1) if indeg[v] == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in out[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    if seen != n:
-        raise CyclicInput("input graph has a directed cycle")
-
-
-def translate_update(n: int, edges: Iterable[Edge]) -> list[Edge]:
-    """Three layered changes per edge: (u,v), (u,v'), (u',v'')."""
-    out: list[Edge] = []
-    for u, v in edges:
-        out.append((u, v))
-        out.append((u, n + v))
-        out.append((n + u, 2 * n + v))
-    return out
-
-
-def build_reduction_graph(n: int, edges: Sequence[Edge]) -> list[Edge]:
-    """Layered graph on 3n vertices; tail reaches a twice-shifted head
-    exactly when the original edge has a detour."""
-    _check_acyclic(n, edges)
-    return translate_update(n, edges)
-
-
-# ---- spec-shaped initialization ----
-
-
-def init_inverse(
-    n: int,
-    edges: Sequence[Edge],
-    mode: str,
-    assignment: dict[Edge, int],
-) -> InverseState:
-    """Assemble and invert the mode's matrix under a given assignment.
-
-    DAG mode builds I minus the random adjacency of the layered graph
-    (keys of ``assignment`` are layered edges); general mode builds the
-    random adjacency itself and requires a self-loop value ``(v, v)`` for
-    every vertex.
-    """
-    if mode == "dag":
-        size = 3 * n
-        layered = build_reduction_graph(n, edges)
-        state = InverseState(size)
-        m = _identity(size)
-        for a, b in layered:
-            x = assignment[(a, b)] % FIELD_PRIME
-            m[a - 1, b - 1] = np.uint64((FIELD_PRIME - x) % FIELD_PRIME)
-    elif mode == "general":
-        size = n
-        m = np.zeros((size, size), dtype=np.uint64)
-        for v in range(1, n + 1):
-            m[v - 1, v - 1] = np.uint64(assignment[(v, v)] % FIELD_PRIME)
-        for u, v in edges:
-            m[u - 1, v - 1] = np.uint64(assignment[(u, v)] % FIELD_PRIME)
-        state = InverseState(size)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    state.m = m
-    state.minv = matrix_inverse(m)
-    state.generation = 0
-    return state
-
-
 # ---- engines ----
 
 
@@ -257,8 +190,8 @@ class AlgebraicDag:
 
     def __init__(self, n: int, seed: int = 0) -> None:
         self.n = n
-        self.g = TimestampedGraph(n, acyclic=True)
         self.state = InverseState(3 * n)
+        self.g = TimestampedGraph(n, acyclic=True)
         self._rng = random.Random(seed)
         self._vars: dict[Edge, tuple[int, int, int]] = {}
 
@@ -297,15 +230,15 @@ class AlgebraicDag:
 
 
 class AlgebraicGeneral:
-    """Group redundancy via the signed inverse-entry identity."""
+    """Edge and group redundancy read off one maintained inverse."""
 
     def __init__(self, n: int, seed: int = 0) -> None:
         self.n = n
+        self.state = InverseState(n)
         self.g = TimestampedGraph(n)
         self._rng = random.Random(seed)
         self._vars: dict[Edge, int] = {}
         self._loops = [0] * (n + 1)
-        self.state = InverseState(n)
         for v in range(1, n + 1):
             x = self._rng.randrange(1, FIELD_PRIME)
             self._loops[v] = x
@@ -402,15 +335,19 @@ class AlgebraicGeneral:
         return general_reduction(self.g, comp, keep_group)
 
     def is_redundant(self, x: int, y: int) -> bool:
-        g = self.g
-        if (x, y) not in g.eid:
+        """Single-edge identity of the module docstring.
+
+        Removing the edge is the rank-1 change M - a*e_x*e_y^T; Sherman-
+        Morrison and the matrix determinant lemma give its (x, y) cofactor
+        over det M from the entries below.  The cofactor is a polynomial,
+        so the formula holds also when the change leaves M singular.
+        """
+        if (x, y) not in self.g.eid:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
-        comp = condensation(g)
-        cx, cy = comp[x], comp[y]
-        if cx == cy:
-            return has_detour(g, x, y)
-        group = [(t, h) for t, h in g.eid if comp[t] == cx and comp[h] == cy]
-        # comp[0] is -1, so index() finds each component's smallest vertex
-        return len(group) > 1 or self.group_redundant(
-            group, comp.index(cx), comp.index(cy)
-        )
+        a = self._vars[(x, y)]
+        minv = self.state.minv
+        i, j = x - 1, y - 1
+        # det of M without the edge over det M; 0 when that is singular
+        ratio = (1 - a * int(minv[j, i])) % FIELD_PRIME
+        cofactor = int(minv[i, j]) * ratio + a * int(minv[i, i]) * int(minv[j, j])
+        return cofactor % FIELD_PRIME != 0

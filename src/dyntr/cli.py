@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .algebraic import AlgebraicDag, AlgebraicGeneral
 from .errors import DynTrError, MissingEdge, ParseError, StreamCheckError
-from .graph_core import DeleteSet, Edge, InsertCentered, TimestampedGraph
+from .graph_core import DeleteSet, Edge, InsertCentered, TimestampedGraph, Update
 from .oracle import (
     brute_redundant,
     brute_tr_dag,
@@ -43,15 +43,9 @@ ENGINES = ("comb", "alg", "oracle")
 MODES = ("dag", "general")
 
 
-@dataclass(frozen=True)
-class InsCmd:
-    center: int
-    edges: tuple[Edge, ...]
-
-
-@dataclass(frozen=True)
-class DelCmd:
-    edges: tuple[Edge, ...]
+# the update commands are the engines' own update records
+InsCmd = InsertCentered
+DelCmd = DeleteSet
 
 
 @dataclass(frozen=True)
@@ -225,6 +219,25 @@ def _tr_size(eng) -> int:
     return len(eng.tr_edges())
 
 
+def _timed_update(eng, upd: Update) -> tuple[str, int]:
+    """Apply one update; return its op name and wall time in microseconds."""
+    started = time.perf_counter_ns()
+    if isinstance(upd, InsertCentered):
+        eng.insert_centered(upd.center, upd.edges)
+        op = "ins"
+    else:
+        eng.delete_edges(upd.edges)
+        op = "del"
+    return op, (time.perf_counter_ns() - started) // 1000
+
+
+def _csv_row(step: int, op: str, n: int, engine: str, micros: int, eng) -> str:
+    return (
+        f"{step},{op},{n},{len(eng.g.eid)},{engine},"
+        f"{micros},{_elementary_ops(eng)},{_tr_size(eng)}"
+    )
+
+
 def _check(mode: str, eng) -> str | None:
     g = eng.g
     live = list(g.eid)
@@ -262,16 +275,8 @@ def run_stream(
         line_no = pos + 2
         op = None
         try:
-            if isinstance(cmd, InsCmd):
-                started = time.perf_counter_ns()
-                eng.insert_centered(cmd.center, cmd.edges)
-                micros = (time.perf_counter_ns() - started) // 1000
-                op = "ins"
-            elif isinstance(cmd, DelCmd):
-                started = time.perf_counter_ns()
-                eng.delete_edges(cmd.edges)
-                micros = (time.perf_counter_ns() - started) // 1000
-                op = "del"
+            if isinstance(cmd, (InsCmd, DelCmd)):
+                op, micros = _timed_update(eng, cmd)
             elif isinstance(cmd, TrCmd):
                 tr = eng.tr_edges()
                 out.append(f"tr m={len(tr)}")
@@ -285,10 +290,7 @@ def run_stream(
             continue
         step += 1
         if stats_path is not None:
-            rows.append(
-                f"{step},{op},{stream.n},{len(eng.g.eid)},{engine},"
-                f"{micros},{_elementary_ops(eng)},{_tr_size(eng)}"
-            )
+            rows.append(_csv_row(step, op, stream.n, engine, micros, eng))
         if check:
             reason = _check(stream.mode, eng)
             if reason is not None:
@@ -324,18 +326,8 @@ def bench(
     eng = make_engine(mode, engine, n, seed)
     rows = [CSV_HEADER]
     for step, upd in enumerate(updates, start=1):
-        started = time.perf_counter_ns()
-        if isinstance(upd, InsertCentered):
-            eng.insert_centered(upd.center, upd.edges)
-            op = "ins"
-        else:
-            eng.delete_edges(upd.edges)
-            op = "del"
-        micros = (time.perf_counter_ns() - started) // 1000
-        rows.append(
-            f"{step},{op},{n},{len(eng.g.eid)},{engine},"
-            f"{micros},{_elementary_ops(eng)},{_tr_size(eng)}"
-        )
+        op, micros = _timed_update(eng, upd)
+        rows.append(_csv_row(step, op, n, engine, micros, eng))
     text = "\n".join(rows) + "\n"
     if out_csv is not None:
         Path(out_csv).write_text(text, encoding="utf-8")

@@ -51,6 +51,10 @@ class DenominatorZero(DynTrError):
     """A rank-one inverse update hit a zero denominator and could not recover."""
 
 
+class TooLarge(DynTrError):
+    """An engine's matrices would not fit in physical memory."""
+
+
 class ParseError(DynTrError):
     """A stream line could not be parsed.
 

@@ -7,8 +7,9 @@ the one marked representative of every parallel group.  This module owns
 the minimal spanning-subset routine, ``general_reduction``, which
 assembles both parts for ``TrGeneral`` and ``AlgebraicGeneral`` alike
 (each engine supplies the test deciding whether a parallel group keeps
-its representative), ``has_detour``, the direct path probe both engines
-use for an edge inside one component, and the combinatorial engine.
+its representative), ``has_detour``, the direct path probe
+``TrGeneral.is_redundant`` uses for an edge inside one component, and the
+combinatorial engine.
 """
 
 from __future__ import annotations

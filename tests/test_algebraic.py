@@ -15,18 +15,15 @@ from dyntr.algebraic import (
     InverseState,
     _fold_axis0,
     _mulmod,
-    build_reduction_graph,
-    init_inverse,
     matrix_inverse,
-    translate_update,
 )
 from dyntr.errors import (
-    CyclicInput,
     DenominatorZero,
     MissingEdge,
     SingularMatrix,
+    TooLarge,
 )
-from dyntr.oracle import dag_path_count, random_update_stream
+from dyntr.oracle import brute_redundant, dag_path_count, random_update_stream
 
 PROPERTY_SETTINGS = settings(
     max_examples=100,
@@ -162,42 +159,22 @@ class TestInverseState:
 
 class TestReductionGraph:
     def test_three_layer_translation(self):
-        assert translate_update(3, [(1, 2)]) == [(1, 2), (1, 5), (4, 8)]
-        assert len(translate_update(5, [(1, 2), (2, 3)])) == 6
+        assert AlgebraicDag(3)._layered(1, 2) == ((1, 2), (1, 5), (4, 8))
 
     def test_diamond_detour_is_visible(self):
-        edges = build_reduction_graph(3, [(1, 2), (1, 3), (3, 2)])
-        assert len(edges) == 9
-        adj = {}
-        for t, h in edges:
-            adj.setdefault(t, []).append(h)
-        assert self._reaches(adj, 1, 8)  # twice-shifted copy of 2
+        eng = AlgebraicDag(3, seed=4)
+        eng.insert_centered(1, [(1, 2), (1, 3)])
+        eng.insert_centered(3, [(3, 2)])
+        assert eng.is_redundant(1, 2)
+        assert eng.state.entry(0, 2 * 3 + 2 - 1) != 0  # twice-shifted copy of 2
 
     def test_chain_has_no_detour(self):
-        edges = build_reduction_graph(3, [(1, 2), (2, 3)])
-        adj = {}
-        for t, h in edges:
-            adj.setdefault(t, []).append(h)
-        assert not self._reaches(adj, 1, 8)
+        eng = AlgebraicDag(3, seed=4)
+        eng.insert_centered(2, [(1, 2), (2, 3)])
+        assert not eng.is_redundant(1, 2)
+        assert eng.state.entry(0, 2 * 3 + 2 - 1) == 0
         # 1->2->3 is a two-step walk, so the twice-shifted 3 is reached
-        assert self._reaches(adj, 1, 9)
-
-    def test_cyclic_input_rejected(self):
-        with pytest.raises(CyclicInput):
-            build_reduction_graph(2, [(1, 2), (2, 1)])
-
-    @staticmethod
-    def _reaches(adj, s, t):
-        seen, stack = {s}, [s]
-        while stack:
-            v = stack.pop()
-            for w in adj.get(v, []):
-                if w == t:
-                    return True
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return False
+        assert eng.state.entry(0, 2 * 3 + 3 - 1) != 0
 
 
 class TestDagEngine:
@@ -322,34 +299,64 @@ class TestGeneralEngine:
         assert eng.state.full_product_is_identity()
         assert eng.tr_edges() == ref.tr_edges()
 
+    def test_identity_holds_when_removal_leaves_matrix_singular(self):
+        eng = AlgebraicGeneral(3, seed=0)
+        eng.insert_centered(1, [(1, 2), (2, 1)])
+        eng.insert_centered(3, [(2, 3), (3, 2)])
+        eng.insert_centered(1, [(1, 3)])
+        # det of M without (1, 2) is 2*l1 + 13*11*6, zero for this l1
+        l1 = -13 * 11 * 6 * pow(2, -1, P) % P
+        eng._loops = [0, l1, 2, 4]
+        eng._vars = {(1, 2): 7, (2, 1): 11, (2, 3): 1, (3, 2): 6, (1, 3): 13}
+        eng._rebuild()
+        assert eng._loops == [0, l1, 2, 4]
+        assert (1 - 7 * eng.state.entry(1, 0)) % P == 0
+        live = list(eng.g.eid)
+        for edge in live:
+            assert eng.is_redundant(*edge) == brute_redundant(3, live, *edge)
+
+    def test_is_redundant_needs_no_condensation(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("is_redundant condensed the graph")
+
+        monkeypatch.setattr(algebraic, "condensation", refuse)
+        n = 8
+        eng = AlgebraicGeneral(n, seed=6)
+        for op in random_update_stream(n, 40, "general", density=0.45, seed=6):
+            if isinstance(op, InsertCentered):
+                eng.insert_centered(op.center, op.edges)
+            else:
+                eng.delete_edges(op.edges)
+            live = list(eng.g.eid)
+            for edge in live:
+                assert eng.is_redundant(*edge) == brute_redundant(n, live, *edge)
+
 
 class TestInitInverse:
     def test_dag_mode_matches_incremental_engine(self):
         eng = AlgebraicDag(4, seed=11)
         eng.insert_centered(1, [(1, 2), (1, 3)])
         eng.insert_centered(3, [(3, 2), (3, 4)])
-        assignment = {}
+        expected = np.zeros((12, 12), dtype=np.uint64)
+        np.fill_diagonal(expected, 1)
         for edge, xs in eng._vars.items():
-            for pair, x in zip(eng._layered(*edge), xs):
-                assignment[pair] = x
-        state = init_inverse(4, list(eng._vars), "dag", assignment)
-        assert np.array_equal(state.m, eng.state.m)
-        assert np.array_equal(state.minv, eng.state.minv)
+            for (a, b), x in zip(eng._layered(*edge), xs):
+                expected[a - 1, b - 1] = P - x
+        assert np.array_equal(eng.state.m, expected)
+        assert np.array_equal(matrix_inverse(eng.state.m), eng.state.minv)
 
     def test_general_mode_matches_incremental_engine(self):
         eng = AlgebraicGeneral(4, seed=5)
         eng.insert_centered(1, [(1, 2)])
         eng.insert_centered(2, [(2, 1), (2, 3)])
-        assignment = dict(eng._vars)
-        for v in range(1, 5):
-            assignment[(v, v)] = eng._loops[v]
-        state = init_inverse(4, list(eng._vars), "general", assignment)
-        assert np.array_equal(state.m, eng.state.m)
-        assert np.array_equal(state.minv, eng.state.minv)
+        assert np.array_equal(matrix_inverse(eng.state.m), eng.state.minv)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            init_inverse(2, [], "mixed", {})
+
+class TestSizeGuard:
+    def test_matrices_past_physical_memory_are_refused(self):
+        # 3n x 3n uint64 matrices at n = 10^6: 72 TB each
+        with pytest.raises(TooLarge):
+            AlgebraicDag(10**6)
 
 
 @st.composite

@@ -273,6 +273,12 @@ class TestMain:
             capsys.readouterr().err
         )
 
+    def test_oversized_algebraic_engine_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("dtr v1 n=1000000 mode=dag\ntr\n", encoding="utf-8")
+        assert cli.main(["run", str(path), "--engine", "alg"]) == 2
+        assert "engine error" in capsys.readouterr().err
+
     def test_check_mismatch_exits_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "brute_tr_dag", lambda n, edges: set())
         path = tmp_path / "s.txt"
