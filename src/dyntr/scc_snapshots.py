@@ -1,11 +1,20 @@
-"""Per-root SCC views over the nested snapshot family.
+"""Per-root reachability views over the nested snapshot family.
 
-Each centered vertex keeps a view of its frozen snapshot: the SCC
-partition, descendant/ancestor sets, and per-SCC witness flags answering
-in O(1) whether a component is entered from a proper descendant of the
-root (or left toward a proper ancestor).  A deletion rebuilds from
-scratch the view of every snapshot that held a removed edge; every other
-view is left as it was.
+Each centered vertex keeps a view of its frozen snapshot: the root's
+descendant and ancestor sets, plus, for every reached vertex, the
+snapshot edge that first reached it in the forward and in the backward
+search.  Those parent edges form an out-tree spanning the descendants
+and an in-tree spanning the ancestors.  The snapshot's SCC partition and
+the per-SCC witness flags (is a component entered from a proper
+descendant of the root, or left toward a proper ancestor) are computed
+on the first query of a view and kept until the view is replaced.
+
+A deletion replaces the view of every snapshot that held a removed
+edge.  A side whose tree lost no edge is carried over unchanged: the
+tree still spans the same set in the smaller snapshot, and a subgraph
+cannot reach more.  Only a side whose tree lost an edge is searched
+again, which is the tree-edge test of decremental reachability (Even and
+Shiloach, 1981).  Every other view is left as it was.
 
 A global table of parallel edge groups is kept alongside, on the current
 graph: all live edges joining the same ordered pair of components form
@@ -14,15 +23,21 @@ one group, ordered by age, and the front member is the marked one.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import MissingEdge, NotInterScc
-from .graph_core import Edge, TimestampedGraph
+from .graph_core import NIL, Edge, TimestampedGraph
 
 
-def _strong_components(n: int, out_adj: list[list[int]]) -> list[int]:
+def _strong_components(n: int, edges: Iterable[Edge]) -> list[int]:
     """Kosaraju's two-pass component labeling, vertex -> component id."""
+    out_adj: list[list[int]] = [[] for _ in range(n + 1)]
+    rev: list[list[int]] = [[] for _ in range(n + 1)]
+    for t, h in edges:
+        out_adj[t].append(h)
+        rev[h].append(t)
     seen = bytearray(n + 1)
     order: list[int] = []
     for s in range(1, n + 1):
@@ -40,10 +55,6 @@ def _strong_components(n: int, out_adj: list[list[int]]) -> list[int]:
                     stack.append((w, 0))
             else:
                 order.append(v)
-    rev: list[list[int]] = [[] for _ in range(n + 1)]
-    for v in range(1, n + 1):
-        for w in out_adj[v]:
-            rev[w].append(v)
     comp = [-1] * (n + 1)
     cid = 0
     for s in reversed(order):
@@ -63,23 +74,35 @@ def _strong_components(n: int, out_adj: list[list[int]]) -> list[int]:
 
 def condensation(g: TimestampedGraph) -> list[int]:
     """Component id of every vertex of the current graph."""
-    out_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for t, h in g.eid:
-        out_adj[t].append(h)
-    return _strong_components(g.n, out_adj)
+    return _strong_components(g.n, g.eid)
 
 
-def _bfs_flags(n: int, adj: list[list[int]], src: int) -> bytearray:
-    flags = bytearray(n + 1)
-    flags[src] = 1
-    frontier = [src]
-    while frontier:
-        v = frontier.pop()
-        for w in adj[v]:
-            if not flags[w]:
-                flags[w] = 1
-                frontier.append(w)
-    return flags
+def _search(
+    g: TimestampedGraph, root: int, first: list[int], nxt: list[int], far: list[int]
+) -> tuple[bytearray, array]:
+    """Vertices ``root`` reaches in its snapshot along one orientation.
+
+    Walks the graph's own adjacency lists (``first``/``nxt``) cut at the
+    snapshot limit.  Returns the reached flags and, per vertex, the edge
+    that first reached it (``NIL`` for the root and unreached vertices).
+    """
+    limit = g.center_ts[root]
+    e_ts = g.e_ts
+    seen = bytearray(g.n + 1)
+    par = array("i", [NIL]) * (g.n + 1)
+    seen[root] = 1
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        e = first[v]
+        while e != NIL and e_ts[e] <= limit:
+            w = far[e]
+            if not seen[w]:
+                seen[w] = 1
+                par[w] = e
+                stack.append(w)
+            e = nxt[e]
+    return seen, par
 
 
 @dataclass(frozen=True)
@@ -100,37 +123,53 @@ class ParallelGroup:
 
 
 class _RootView:
-    __slots__ = ("root", "limit", "scc_of", "desc", "anc", "in_wit", "out_wit")
+    __slots__ = ("g", "root", "limit", "desc", "out_par", "anc", "in_par", "_labels")
 
     def __init__(
         self,
+        g: TimestampedGraph,
         root: int,
-        limit: int,
-        scc_of: list[int],
         desc: bytearray,
+        out_par: array,
         anc: bytearray,
-        in_wit: set[int],
-        out_wit: set[int],
+        in_par: array,
     ) -> None:
+        self.g = g
         self.root = root
-        self.limit = limit
-        self.scc_of = scc_of
+        self.limit = g.center_ts[root]
         self.desc = desc
+        self.out_par = out_par
         self.anc = anc
-        self.in_wit = in_wit
-        self.out_wit = out_wit
+        self.in_par = in_par
+        self._labels: tuple[list[int], set[int], set[int]] | None = None
 
-    def in_answer(self, y: int) -> bool:
-        c = self.scc_of[y]
-        return c != self.scc_of[self.root] and c in self.in_wit
+    def labels(self) -> tuple[list[int], set[int], set[int]]:
+        """SCC labeling of the snapshot and its in-/out-witness components."""
+        if self._labels is None:
+            g, limit = self.g, self.limit
+            snap = [(t, h) for (t, h), e in g.eid.items() if g.e_ts[e] <= limit]
+            scc_of = _strong_components(g.n, snap)
+            r = scc_of[self.root]
+            in_wit: set[int] = set()
+            out_wit: set[int] = set()
+            for w, v in snap:
+                cw, cv = scc_of[w], scc_of[v]
+                if cw == cv or cw == r or cv == r:
+                    continue
+                if self.desc[w]:
+                    in_wit.add(cv)
+                if self.anc[v]:
+                    out_wit.add(cw)
+            self._labels = (scc_of, in_wit, out_wit)
+        return self._labels
 
-    def out_answer(self, x: int) -> bool:
-        c = self.scc_of[x]
-        return c != self.scc_of[self.root] and c in self.out_wit
+    @property
+    def scc_of(self) -> list[int]:
+        return self.labels()[0]
 
 
 class SccSnapshots:
-    """Snapshot SCC views plus the current-graph parallel-group table."""
+    """Snapshot reachability views plus the current-graph parallel-group table."""
 
     def __init__(self, g: TimestampedGraph) -> None:
         self.g = g
@@ -141,33 +180,27 @@ class SccSnapshots:
 
     # ---- view construction ----
 
-    def _build_view(self, root: int) -> _RootView:
+    def _build_view(
+        self,
+        root: int,
+        old: _RootView | None = None,
+        redo_out: bool = True,
+        redo_in: bool = True,
+    ) -> _RootView:
+        """A view of ``root``'s snapshot, searching the sides asked for.
+
+        A side not searched again is carried over from ``old``.
+        """
         g = self.g
-        n = g.n
-        limit = g.center_ts[root]
-        out_adj: list[list[int]] = [[] for _ in range(n + 1)]
-        in_adj: list[list[int]] = [[] for _ in range(n + 1)]
-        snap: list[Edge] = []
-        for (t, h), e in g.eid.items():
-            if g.e_ts[e] <= limit:
-                out_adj[t].append(h)
-                in_adj[h].append(t)
-                snap.append((t, h))
-        scc_of = _strong_components(n, out_adj)
-        desc = _bfs_flags(n, out_adj, root)
-        anc = _bfs_flags(n, in_adj, root)
-        r = scc_of[root]
-        in_wit: set[int] = set()
-        out_wit: set[int] = set()
-        for w, v in snap:
-            cw, cv = scc_of[w], scc_of[v]
-            if cw == cv:
-                continue
-            if cv != r and cw != r and desc[w]:
-                in_wit.add(cv)
-            if cw != r and cv != r and anc[v]:
-                out_wit.add(cw)
-        return _RootView(root, limit, scc_of, desc, anc, in_wit, out_wit)
+        if redo_out:
+            desc, out_par = _search(g, root, g.out_first, g.out_nxt, g.e_head)
+        else:
+            desc, out_par = old.desc, old.out_par
+        if redo_in:
+            anc, in_par = _search(g, root, g.in_first, g.in_nxt, g.e_tail)
+        else:
+            anc, in_par = old.anc, old.in_par
+        return _RootView(g, root, desc, out_par, anc, in_par)
 
     def rebuild(self, root: int) -> None:
         self.views[root] = self._build_view(root)
@@ -176,12 +209,27 @@ class SccSnapshots:
     # ---- deletion ----
 
     def delete(self, removed_ids: Iterable[int]) -> None:
-        """Rebuild every view whose snapshot held one of the removed ids."""
+        """Replace every view whose snapshot held one of the removed ids.
+
+        A side is searched again only when a removed id is the edge that
+        reached its head (out-tree) or its tail (in-tree).
+        """
         g = self.g
+        e_ts, e_tail, e_head = g.e_ts, g.e_tail, g.e_head
         ids = list(removed_ids)
-        for root, old in self.views.items():
-            if any(g.e_ts[e] <= old.limit for e in ids):
-                self.views[root] = self._build_view(root)
+        views = self.views
+        for root, old in views.items():
+            hit = [e for e in ids if e_ts[e] <= old.limit]
+            if not hit:
+                continue
+            redo_out = any(old.out_par[e_head[e]] == e for e in hit)
+            redo_in = any(old.in_par[e_tail[e]] == e for e in hit)
+            if redo_out or redo_in:
+                views[root] = self._build_view(root, old, redo_out, redo_in)
+            else:
+                views[root] = _RootView(
+                    g, root, old.desc, old.out_par, old.anc, old.in_par
+                )
         self.refresh_groups()
 
     # ---- parallel groups on the current graph ----
@@ -212,9 +260,17 @@ class SccSnapshots:
     # ---- queries ----
 
     def in_query(self, y: int, root: int) -> bool:
+        """Is y's snapshot component entered from a proper descendant of root?"""
         view = self.views.get(root)
-        return view is not None and view.in_answer(y)
+        if view is None:
+            return False
+        scc_of, in_wit, _ = view.labels()
+        return scc_of[y] != scc_of[root] and scc_of[y] in in_wit
 
     def out_query(self, x: int, root: int) -> bool:
+        """Is x's snapshot component left toward a proper ancestor of root?"""
         view = self.views.get(root)
-        return view is not None and view.out_answer(x)
+        if view is None:
+            return False
+        scc_of, _, out_wit = view.labels()
+        return scc_of[x] != scc_of[root] and scc_of[x] in out_wit

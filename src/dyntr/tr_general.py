@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import MissingEdge, NotStronglyConnected
-from .graph_core import Edge, TimestampedGraph
+from .graph_core import NIL, Edge, TimestampedGraph
 from .scc_snapshots import SccSnapshots
 
 
@@ -105,22 +105,27 @@ def general_reduction(
 
 
 def has_detour(g: TimestampedGraph, x: int, y: int) -> bool:
-    """True iff ``y`` is reachable from ``x`` without the edge (x, y)."""
-    out_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for t, h in g.eid:
-        if (t, h) != (x, y):
-            out_adj[t].append(h)
+    """True iff ``y`` is reachable from ``x`` without the edge (x, y).
+
+    Walks the graph's own out-lists, which hold live edges only, and
+    skips the queried edge by its id.
+    """
+    skip = g.eid.get((x, y), NIL)
+    e_head, out_first, out_nxt = g.e_head, g.out_first, g.out_nxt
     seen = bytearray(g.n + 1)
     seen[x] = 1
     stack = [x]
     while stack:
-        v = stack.pop()
-        for w in out_adj[v]:
-            if w == y:
-                return True
-            if not seen[w]:
-                seen[w] = 1
-                stack.append(w)
+        e = out_first[stack.pop()]
+        while e != NIL:
+            if e != skip:
+                w = e_head[e]
+                if w == y:
+                    return True
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+            e = out_nxt[e]
     return False
 
 
@@ -131,12 +136,13 @@ class TrGeneral:
     but every component membership test is taken in the current graph and
     the witness roots range over all centered vertices sharing the
     relevant endpoint component.  The ledgers are re-aggregated from the
-    per-root snapshot views after every update: one sweep per view marks
-    which (root component, target component) pairs have an in- or
-    out-witness, then each inter-component edge reads its counter and two
-    witness bits off those tables.  The reduction is the union of the
-    per-component minimal strongly connected subsets and the marked group
-    representatives whose ledgers are all zero.
+    per-root snapshot views after every update, over the inter-component
+    edges only, collected once per update: one sweep per view counts the
+    edges it covers and marks which (root component, target component)
+    pairs have an in- or out-witness, then each inter-component edge
+    reads its two witness bits off those tables.  The reduction is the
+    union of the per-component minimal strongly connected subsets and the
+    marked group representatives whose ledgers are all zero.
     """
 
     def __init__(self, n: int) -> None:
@@ -162,45 +168,29 @@ class TrGeneral:
         g = self.g
         comp = self.scc.comp_cur
         e_ts = g.e_ts
+        inter: list[tuple[int, int, int, int, int]] = []
+        for (t, h), e in g.eid.items():
+            ct, ch = comp[t], comp[h]
+            if ct != ch:
+                inter.append((t, h, e_ts[e], ct, ch))
+        counts = [0] * len(inter)
         met_in: set[tuple[int, int]] = set()
         met_out: set[tuple[int, int]] = set()
-        views = self.scc.views
-        for root, view in views.items():
+        for root, view in self.scc.views.items():
             r = comp[root]
             desc, anc, limit = view.desc, view.anc, view.limit
-            for (t, h), e in g.eid.items():
-                if e_ts[e] > limit:
-                    continue
-                ct, ch = comp[t], comp[h]
-                if ct == ch:
+            for i, (t, h, ts, ct, ch) in enumerate(inter):
+                if ts > limit:
                     continue
                 if ct != r and desc[t]:
                     met_in.add((r, ch))
                 if ch != r and anc[h]:
                     met_out.add((r, ct))
-        centers = [(view, comp[root]) for root, view in views.items()]
-        count: dict[Edge, int] = {}
-        tx: dict[Edge, bool] = {}
-        ty: dict[Edge, bool] = {}
-        for (t, h), e in g.eid.items():
-            cx, cy = comp[t], comp[h]
-            if cx == cy:
-                continue
-            ts_e = e_ts[e]
-            c = 0
-            for view, r in centers:
-                if (
-                    r != cx
-                    and r != cy
-                    and ts_e <= view.limit
-                    and view.anc[t]
-                    and view.desc[h]
-                ):
-                    c += 1
-            count[(t, h)] = c
-            tx[(t, h)] = (cx, cy) in met_in
-            ty[(t, h)] = (cy, cx) in met_out
-        self.count, self.tx, self.ty = count, tx, ty
+                if ct != r and ch != r and anc[t] and desc[h]:
+                    counts[i] += 1
+        self.count = {(t, h): c for (t, h, _, _, _), c in zip(inter, counts)}
+        self.tx = {(t, h): (ct, ch) in met_in for t, h, _, ct, ch in inter}
+        self.ty = {(t, h): (ch, ct) in met_out for t, h, _, ct, ch in inter}
 
     # ---- queries ----
 

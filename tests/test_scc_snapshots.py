@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dyntr import DeleteSet, InsertCentered, TimestampedGraph
 from dyntr.errors import MissingEdge, NotInterScc
+from dyntr.graph_core import NIL
 from dyntr.oracle import (
     random_update_stream,
     recompute_scc_inout,
@@ -146,6 +147,43 @@ class TestDelete:
         }
 
 
+def test_non_tree_deletion_keeps_reach_and_drops_labels(monkeypatch):
+    # root 1 reaches 2 and 3 by its own edges, so the cycle edge (3, 2)
+    # lies outside both of its trees; deleting it splits {2, 3}
+    g = TimestampedGraph(4)
+    scc = SccSnapshots(g)
+    g.apply_insert_centered(2, [(2, 3), (3, 2)])
+    scc.rebuild(2)
+    g.apply_insert_centered(1, [(1, 2), (1, 3)])
+    scc.rebuild(1)
+    old = scc.views[1]
+    assert old.scc_of[2] == old.scc_of[3]
+    assert scc.in_query(3, 1) is False
+    built = []
+    original = SccSnapshots._build_view
+
+    def counted(self, root, *args):
+        built.append(root)
+        return original(self, root, *args)
+
+    monkeypatch.setattr(SccSnapshots, "_build_view", counted)
+    eid = g.eid[(3, 2)]
+    g.apply_delete([(3, 2)])
+    scc.delete([eid])
+    # only root 2, whose in-tree held the edge, was searched again
+    assert built == [2]
+    view = scc.views[1]
+    assert view is not old
+    assert view.desc is old.desc and view.anc is old.anc
+    comp, _ = scc_partition(4, snapshot_edges_of(g, 1))
+    assert partition_groups(view.scc_of, 4) == partition_groups(comp, 4)
+    in_map, out_map = recompute_scc_inout(g, 1)
+    for v in range(1, 5):
+        assert scc.in_query(v, 1) == in_map[v]
+        assert scc.out_query(v, 1) == out_map[v]
+    assert scc.in_query(3, 1) is True
+
+
 def test_chain_witness_through_middle():
     g = TimestampedGraph(3)
     scc = SccSnapshots(g)
@@ -193,6 +231,14 @@ def general_streams(draw):
         n, steps, mode="general", density=density, seed=seed
     )
     return n, stream
+
+
+def drive(g, scc, upd):
+    if isinstance(upd, InsertCentered):
+        g.apply_insert_centered(upd.center, upd.edges)
+        scc.rebuild(upd.center)
+    else:
+        scc.delete(g.apply_delete(upd.edges))
 
 
 def partition_groups(comp, n):
@@ -307,3 +353,30 @@ def test_deletion_deltas_are_sound(case):
                 assert bytes(view.desc) == desc_b
                 assert bytes(view.anc) == anc_b
                 assert view.scc_of == scc_b
+
+
+@given(general_streams())
+@PROPERTY_SETTINGS
+def test_parent_edges_form_live_snapshot_trees(case):
+    n, updates = case
+    g = TimestampedGraph(n)
+    scc = SccSnapshots(g)
+    for upd in updates:
+        drive(g, scc, upd)
+        for root, view in scc.views.items():
+            # out-side: edge into v from a descendant; in-side: edge out
+            # of v into an ancestor
+            for par, reached, near, far in (
+                (view.out_par, view.desc, g.e_tail, g.e_head),
+                (view.in_par, view.anc, g.e_head, g.e_tail),
+            ):
+                assert len(par) == n + 1
+                for v in range(1, n + 1):
+                    e = par[v]
+                    if v == root or not reached[v]:
+                        assert e == NIL
+                        continue
+                    assert g.eid.get((g.e_tail[e], g.e_head[e])) == e
+                    assert g.e_ts[e] <= view.limit
+                    assert far[e] == v
+                    assert reached[near[e]]

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dyntr import DeleteSet, InsertCentered, TrDag, TrGeneral, minimal_scss
+from dyntr import (
+    DeleteSet,
+    InsertCentered,
+    TimestampedGraph,
+    TrDag,
+    TrGeneral,
+    minimal_scss,
+)
 from dyntr.errors import MissingEdge, NotStronglyConnected
 from dyntr.oracle import (
     brute_redundant,
@@ -13,6 +20,7 @@ from dyntr.oracle import (
     recompute_general_ledgers,
     validity_triple,
 )
+from dyntr.tr_general import has_detour
 
 PROPERTY_SETTINGS = settings(
     max_examples=100,
@@ -44,6 +52,29 @@ class TestMinimalScss:
         extra = [(1, 2), (2, 1)]
         kept = minimal_scss([1, 2, 3, 4], extra + edges)
         assert kept == set(edges)
+
+
+class TestHasDetour:
+    def test_only_path_is_the_edge_itself(self):
+        g = TimestampedGraph(3)
+        g.apply_insert_centered(1, [(1, 2), (3, 1)])
+        g.apply_insert_centered(2, [(2, 3)])
+        assert has_detour(g, 1, 2) is False
+        assert has_detour(g, 2, 3) is False
+        g.apply_insert_centered(1, [(1, 3)])
+        # 1 -> 3 -> 1 -> 2 only returns to 1, so (1, 2) stays alone
+        assert has_detour(g, 1, 2) is False
+        assert has_detour(g, 1, 3) is True
+
+    def test_deleted_detour_is_not_followed(self):
+        g = TimestampedGraph(3)
+        g.apply_insert_centered(1, [(1, 2), (1, 3), (2, 1)])
+        g.apply_insert_centered(3, [(3, 2)])
+        assert has_detour(g, 1, 2) is True
+        g.apply_delete([(3, 2)])
+        assert has_detour(g, 1, 2) is False
+        g.apply_delete([(1, 3)])
+        assert has_detour(g, 1, 2) is False
 
 
 def two_cycle_engine():
@@ -196,6 +227,18 @@ def test_redundancy_query_matches_brute_force(case):
         live = eng.g.edge_list()
         for x, y in live:
             assert eng.is_redundant(x, y) == brute_redundant(n, live, x, y)
+
+
+def test_detour_probe_matches_brute_force_on_seeded_histories():
+    for seed in range(60):
+        n = 2 + seed % 9
+        density = (0.0, 0.25, 0.45)[seed % 3]
+        eng = TrGeneral(n)
+        for upd in random_update_stream(n, 30, "general", density=density, seed=seed):
+            drive(eng, upd)
+            live = eng.g.edge_list()
+            for x, y in live:
+                assert has_detour(eng.g, x, y) == brute_redundant(n, live, x, y)
 
 
 @st.composite
