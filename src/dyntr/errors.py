@@ -10,8 +10,9 @@ class DynTrError(Exception):
 class BadUpdate(DynTrError, ValueError):
     """An update names a vertex outside [1..n], a self-loop, or no edges.
 
-    Also a ``ValueError``, which these inputs raised before the class
-    existed.
+    Also raised by ``minimal_scss`` for an edge with an endpoint outside
+    the vertices it was given.  Also a ``ValueError``, which these inputs
+    raised before the class existed.
     """
 
 

@@ -4,11 +4,7 @@ Every function here recomputes its answer from first principles on plain
 ``(n, edges)`` data (or on the public surface of a
 :class:`~dyntr.graph_core.TimestampedGraph`), sharing no state and no code
 path with the incremental engines, so engine outputs can be checked
-against genuinely independent results.  The one sanctioned exception is
-:func:`~dyntr.tr_general.minimal_scss`: the reference reduction inside a
-strongly connected component is the same deterministic routine for the
-oracle and the engines, and the cross-check there is the validity triple,
-not the edge choice.
+against genuinely independent results.
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ from .graph_core import (
     TimestampedGraph,
     Update,
 )
-from .tr_general import minimal_scss
 
 
 def _out_adjacency(n: int, edges: Iterable[Edge]) -> list[list[int]]:
@@ -193,6 +188,32 @@ def scc_partition(n: int, edges: Iterable[Edge]) -> tuple[list[int], int]:
     return comp, ncomp
 
 
+def brute_minimal_scss(vertices: Sequence[int], edges: Sequence[Edge]) -> set[Edge]:
+    """Inclusion-minimal strongly connected spanning subset, by full covers.
+
+    Each edge, in the order given, is dropped when every vertex still
+    reaches and is reached from ``vertices[0]`` without it; the caller
+    passes a strongly connected component and only its own edges.
+    """
+    verts = list(vertices)
+    if len(verts) <= 1:
+        return set()
+    n = max(verts)
+    root = verts[0]
+
+    def covers(kept: set[Edge]) -> bool:
+        fwd = _reachable(_out_adjacency(n, kept), root)
+        bwd = _reachable(_out_adjacency(n, [(h, t) for t, h in kept]), root)
+        return len(fwd) == len(bwd) == len(verts)
+
+    kept = set(edges)
+    for e in edges:
+        kept.discard(e)
+        if not covers(kept):
+            kept.add(e)
+    return kept
+
+
 def brute_tr_general(
     n: int,
     edges: Iterable[Edge],
@@ -228,7 +249,7 @@ def brute_tr_general(
     tr: set[Edge] = set()
     for cid in range(1, ncomp + 1):
         if len(members[cid]) > 1:
-            tr |= minimal_scss(members[cid], intra[cid])
+            tr |= brute_minimal_scss(members[cid], intra[cid])
     cond_out: list[set[int]] = [set() for _ in range(ncomp + 1)]
     for a, b in groups:
         cond_out[a].add(b)

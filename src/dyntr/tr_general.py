@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 
-from .errors import MissingEdge, NotStronglyConnected
+from .errors import BadUpdate, MissingEdge, NotStronglyConnected
 from .graph_core import NIL, Edge, TimestampedGraph
 from .scc_snapshots import SccSnapshots
 
@@ -54,19 +54,38 @@ def minimal_scss(
     Edges are probed for removal in the order given (callers pass them
     oldest first), so the output is deterministic for a fixed input order.
     Removing any member of the result disconnects the component.
+
+    Each probe rests on one identity: if K is strongly connected, then
+    K - (u, v) is strongly connected iff u still reaches v in K - (u, v).
+    The kept set stays strongly connected after every probe, so a probe
+    drops v from u's heads and searches from u, stopping at v; it puts v
+    back only if the search did not find it.  A repeated edge that an
+    earlier probe dropped is skipped.  An endpoint outside
+    ``scc_vertices`` raises ``BadUpdate``.
     """
     verts = list(scc_vertices)
     edges = list(scc_edges)
+    heads: dict[int, set[int]] = {v: set() for v in verts}
+    for t, h in edges:
+        if t not in heads or h not in heads:
+            raise BadUpdate(f"edge ({t}, {h}) leaves the given vertices")
+        heads[t].add(h)
     if not _covers_strongly(verts, edges):
         raise NotStronglyConnected(f"{len(verts)} vertices not strongly connected")
-    if len(verts) <= 1:
-        return set()
-    kept = set(edges)
-    for e in edges:
-        kept.discard(e)
-        if not _covers_strongly(verts, kept):
-            kept.add(e)
-    return kept
+    for u, v in edges:
+        if v not in heads[u]:
+            continue
+        heads[u].discard(v)
+        seen = {u}
+        stack = [u]
+        while stack and v not in seen:
+            for w in heads[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        if v not in seen:
+            heads[u].add(v)
+    return {(t, h) for t, hs in heads.items() for h in hs}
 
 
 def general_reduction(

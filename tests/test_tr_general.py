@@ -1,5 +1,7 @@
 """General-digraph reduction engine: fixtures, minimality, oracle checks."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,9 @@ from dyntr import (
     TrGeneral,
     minimal_scss,
 )
-from dyntr.errors import MissingEdge, NotStronglyConnected
+from dyntr.errors import BadUpdate, MissingEdge, NotStronglyConnected
 from dyntr.oracle import (
+    brute_minimal_scss,
     brute_redundant,
     brute_tr_dag,
     random_update_stream,
@@ -40,6 +43,7 @@ class TestMinimalScss:
 
     def test_single_vertex(self):
         assert minimal_scss([4], []) == set()
+        assert minimal_scss([4], [(4, 4)]) == set()
 
     def test_disconnected_input_rejected(self):
         with pytest.raises(NotStronglyConnected):
@@ -52,6 +56,38 @@ class TestMinimalScss:
         extra = [(1, 2), (2, 1)]
         kept = minimal_scss([1, 2, 3, 4], extra + edges)
         assert kept == set(edges)
+
+    @pytest.mark.parametrize("stray", [(3, 1), (1, 3)], ids=["tail", "head"])
+    def test_endpoint_outside_vertices_rejected(self, stray):
+        with pytest.raises(BadUpdate):
+            minimal_scss([1, 2], [(1, 2), (2, 1), stray])
+
+    def test_repeated_edge_matches_deduplicated_list(self):
+        # the repeated chord is dropped on its first probe and skipped on
+        # its second; the repeated cycle edge is kept on both
+        edges = [(1, 3), (1, 2), (2, 3), (3, 1), (1, 3), (2, 3), (2, 1)]
+        unique = list(dict.fromkeys(edges))
+        kept = minimal_scss([1, 2, 3], edges)
+        assert kept == minimal_scss([1, 2, 3], unique)
+        assert kept == {(1, 2), (2, 3), (3, 1)}
+
+    def test_matches_full_cover_reference_on_random_components(self):
+        # validity_triple accepts any minimal subset; equality with the
+        # oracle's probe-by-full-cover loop also pins the probe order
+        rng = random.Random(2024)
+        for _ in range(3000):
+            n = rng.randint(2, 12)
+            order = rng.sample(range(1, n + 1), n)
+            edges = set()
+            for j in range(1, n):
+                edges.add((order[rng.randrange(j)], order[j]))
+                edges.add((order[j], order[rng.randrange(j)]))
+            for _ in range(rng.randint(0, 3 * n)):
+                edges.add(tuple(rng.sample(range(1, n + 1), 2)))
+            edges = list(edges)
+            rng.shuffle(edges)
+            verts = rng.sample(range(1, n + 1), n)
+            assert minimal_scss(verts, edges) == brute_minimal_scss(verts, edges)
 
 
 class TestHasDetour:
