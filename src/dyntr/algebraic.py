@@ -33,7 +33,7 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DenominatorZero, MissingEdge, SingularMatrix, TooLarge
+from .errors import BadUpdate, DenominatorZero, MissingEdge, SingularMatrix, TooLarge
 from .graph_core import Edge, TimestampedGraph
 from .scc_snapshots import condensation
 # minimal_scss stays bound here too: the benchmark's layer trace wraps it
@@ -131,6 +131,8 @@ class InverseState:
     __slots__ = ("size", "m", "minv", "generation")
 
     def __init__(self, size: int) -> None:
+        if size < 1:
+            raise BadUpdate(f"inverse size must be positive, got {size}")
         need = _PEAK_MATRICES * size * size * 8
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:

@@ -322,8 +322,8 @@ def bench(
     ``density`` is the insert share of the mixed phase; 0.5 holds the
     edge count near its build level instead of draining it.
     """
-    updates = random_update_stream(n, steps, mode, density=density, seed=seed)
     eng = make_engine(mode, engine, n, seed)
+    updates = random_update_stream(n, steps, mode, density=density, seed=seed)
     rows = [CSV_HEADER]
     for step, upd in enumerate(updates, start=1):
         op, micros = _timed_update(eng, upd)

@@ -16,8 +16,15 @@ The instance does not copy adjacency: it walks the graph's own linked
 lists, truncated at the snapshot's timestamp limit.  Dead list entries
 keep their forward pointers (see graph_core), so a cursor parked on a
 deleted edge can still advance; scans simply skip entries whose live flag
-is off.  The mirrored ancestor side runs the same machinery on the
-reversed orientation (outgoing lists, head-side tests).
+is off.
+
+Each job (the snapshot search, the cursor pass, the drain of removed
+edges) is written once and takes an orientation ``(first, nxt, far,
+near)``: the lists to walk and, for an edge on the list of v, its
+endpoint away from v and at v.  The descendant side searches the
+out-lists and keeps its cursors on the in-lists; the ancestor side swaps
+the two.  The graph must be built with ``acyclic=True``, the only
+guarantee of the acyclic snapshots the cursor invariant needs.
 """
 
 from __future__ import annotations
@@ -55,110 +62,65 @@ class DecReach:
     )
 
     def __init__(self, g: TimestampedGraph, root: int) -> None:
+        if not g.acyclic:
+            raise CyclicInput("DecReach needs a graph built with acyclic=True")
         self.g = g
         self.root = root
         self.limit = g.center_ts[root]
-        n = g.n
-        ops = 0
-        if not g.acyclic and not self._snapshot_acyclic():
-            raise CyclicInput(f"snapshot of {root} contains a cycle")
-        e_ts, e_tail, e_head = g.e_ts, g.e_tail, g.e_head
-        limit = self.limit
-        desc = bytearray(n + 1)
-        anc = bytearray(n + 1)
-        desc[root] = 1
-        stack = [root]
-        out_first, out_nxt = g.out_first, g.out_nxt
-        while stack:
-            v = stack.pop()
-            e = out_first[v]
-            while e != NIL and e_ts[e] <= limit:
-                ops += 1
-                w = e_head[e]
-                if not desc[w]:
-                    desc[w] = 1
-                    stack.append(w)
-                e = out_nxt[e]
-        anc[root] = 1
-        stack = [root]
-        in_first, in_nxt = g.in_first, g.in_nxt
-        while stack:
-            v = stack.pop()
-            e = in_first[v]
-            while e != NIL and e_ts[e] <= limit:
-                ops += 1
-                w = e_tail[e]
-                if not anc[w]:
-                    anc[w] = 1
-                    stack.append(w)
-                e = in_nxt[e]
-        # primary cursors first: the secondary scans consult reachability
-        # of other tails, which the primary pass has already settled.
-        p_in = [NIL] * (n + 1)
-        c_in = [NIL] * (n + 1)
-        p_out = [NIL] * (n + 1)
-        c_out = [NIL] * (n + 1)
-        for y in range(1, n + 1):
-            if desc[y] and y != root:
-                e = in_first[y]
-                while not desc[e_tail[e]]:
-                    ops += 1
-                    e = in_nxt[e]
-                p_in[y] = e
-            if anc[y] and y != root:
-                e = out_first[y]
-                while not anc[e_head[e]]:
-                    ops += 1
-                    e = out_nxt[e]
-                p_out[y] = e
-        for y in range(1, n + 1):
-            e = p_in[y]
-            if e != NIL:
-                e = in_nxt[e]
-                while e != NIL and e_ts[e] <= limit:
-                    ops += 1
-                    if desc[e_tail[e]]:
-                        c_in[y] = e
-                        break
-                    e = in_nxt[e]
-            e = p_out[y]
-            if e != NIL:
-                e = out_nxt[e]
-                while e != NIL and e_ts[e] <= limit:
-                    ops += 1
-                    if anc[e_head[e]]:
-                        c_out[y] = e
-                        break
-                    e = out_nxt[e]
-        self.desc = desc
-        self.anc = anc
-        self.p_in, self.c_in = p_in, c_in
-        self.p_out, self.c_out = p_out, c_out
+        fwd = (g.out_first, g.out_nxt, g.e_head, g.e_tail)
+        bwd = (g.in_first, g.in_nxt, g.e_tail, g.e_head)
+        self.desc, d_ops = self._search(fwd)
+        self.anc, a_ops = self._search(bwd)
+        self.p_in, self.c_in, i_ops = self._cursors(self.desc, bwd)
+        self.p_out, self.c_out, o_ops = self._cursors(self.anc, fwd)
         self.touched_in: set[int] = set()
         self.touched_out: set[int] = set()
-        self.op_counter = ops
+        self.op_counter = d_ops + a_ops + i_ops + o_ops
 
-    def _snapshot_acyclic(self) -> bool:
-        g = self.g
-        limit, e_ts = self.limit, g.e_ts
-        indeg = [0] * (g.n + 1)
-        total = 0
-        for v in range(1, g.n + 1):
-            e = g.in_first[v]
+    def _search(self, walk: tuple) -> tuple[bytearray, int]:
+        """Snapshot vertices the root reaches along ``walk``; edges scanned."""
+        first, nxt, far, _ = walk
+        limit, e_ts = self.limit, self.g.e_ts
+        reached = bytearray(len(first))
+        reached[self.root] = 1
+        stack = [self.root]
+        ops = 0
+        while stack:
+            v = stack.pop()
+            e = first[v]
             while e != NIL and e_ts[e] <= limit:
-                indeg[v] += 1
-                e = g.in_nxt[e]
-            total += indeg[v]
-        order = [v for v in range(1, g.n + 1) if indeg[v] == 0]
-        for v in order:
-            e = g.out_first[v]
-            while e != NIL and e_ts[e] <= limit:
-                w = g.e_head[e]
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-                e = g.out_nxt[e]
-        return len(order) == g.n
+                ops += 1
+                w = far[e]
+                if not reached[w]:
+                    reached[w] = 1
+                    stack.append(w)
+                e = nxt[e]
+        return reached, ops
+
+    def _cursors(self, reached: bytearray, back: tuple) -> tuple[list, list, int]:
+        """Primary and secondary cursors of the reached vertices on their
+        ``back`` lists; edges scanned."""
+        first, nxt, far, _ = back
+        root, limit, e_ts = self.root, self.limit, self.g.e_ts
+        p = [NIL] * len(first)
+        c = [NIL] * len(first)
+        ops = 0
+        for y in range(1, len(first)):
+            if reached[y] and y != root:
+                # the snapshot list of a reached y holds a reached far end
+                e = first[y]
+                while not reached[far[e]]:
+                    ops += 1
+                    e = nxt[e]
+                p[y] = e
+                e = nxt[e]
+                while e != NIL and e_ts[e] <= limit:
+                    ops += 1
+                    if reached[far[e]]:
+                        c[y] = e
+                        break
+                    e = nxt[e]
+        return p, c, ops
 
     # ---- queries ----
 
@@ -195,101 +157,65 @@ class DecReach:
         vertices whose query answers may have flipped.
         """
         g = self.g
-        limit = self.limit
-        e_ts, e_live = g.e_ts, g.e_live
-        e_tail, e_head = g.e_tail, g.e_head
-        in_nxt, out_nxt = g.in_nxt, g.out_nxt
-        in_first, out_first = g.in_first, g.out_first
-        desc, anc = self.desc, self.anc
-        p_in, c_in = self.p_in, self.c_in
-        p_out, c_out = self.p_out, self.c_out
-        d_delta: list[int] = []
-        a_delta: list[int] = []
-        touched_in: set[int] = set()
-        touched_out: set[int] = set()
-        ops = 0
-
-        queue = [e for e in removed_ids if e_ts[e] <= limit]
-        while queue:
-            e = queue.pop()
-            ops += 1
-            y = e_head[e]
-            if p_in[y] == e:
-                touched_in.add(y)
-                c = c_in[y]
-                if c == NIL:
-                    p_in[y] = NIL
-                    desc[y] = 0
-                    d_delta.append(y)
-                    e2 = out_first[y]
-                    while e2 != NIL and e_ts[e2] <= limit:
-                        ops += 1
-                        queue.append(e2)
-                        e2 = out_nxt[e2]
-                else:
-                    p_in[y] = c
-                    pos = in_nxt[c]
-                    new_c = NIL
-                    while pos != NIL and e_ts[pos] <= limit:
-                        ops += 1
-                        if e_live[pos] and desc[e_tail[pos]]:
-                            new_c = pos
-                            break
-                        pos = in_nxt[pos]
-                    c_in[y] = new_c
-            elif c_in[y] == e:
-                touched_in.add(y)
-                pos = in_nxt[e]
-                new_c = NIL
-                while pos != NIL and e_ts[pos] <= limit:
-                    ops += 1
-                    if e_live[pos] and desc[e_tail[pos]]:
-                        new_c = pos
-                        break
-                    pos = in_nxt[pos]
-                c_in[y] = new_c
-
-        queue = [e for e in removed_ids if e_ts[e] <= limit]
-        while queue:
-            e = queue.pop()
-            ops += 1
-            x = e_tail[e]
-            if p_out[x] == e:
-                touched_out.add(x)
-                c = c_out[x]
-                if c == NIL:
-                    p_out[x] = NIL
-                    anc[x] = 0
-                    a_delta.append(x)
-                    e2 = in_first[x]
-                    while e2 != NIL and e_ts[e2] <= limit:
-                        ops += 1
-                        queue.append(e2)
-                        e2 = in_nxt[e2]
-                else:
-                    p_out[x] = c
-                    pos = out_nxt[c]
-                    new_c = NIL
-                    while pos != NIL and e_ts[pos] <= limit:
-                        ops += 1
-                        if e_live[pos] and anc[e_head[pos]]:
-                            new_c = pos
-                            break
-                        pos = out_nxt[pos]
-                    c_out[x] = new_c
-            elif c_out[x] == e:
-                touched_out.add(x)
-                pos = out_nxt[e]
-                new_c = NIL
-                while pos != NIL and e_ts[pos] <= limit:
-                    ops += 1
-                    if e_live[pos] and anc[e_head[pos]]:
-                        new_c = pos
-                        break
-                    pos = out_nxt[pos]
-                c_out[x] = new_c
-
-        self.touched_in = touched_in
-        self.touched_out = touched_out
-        self.op_counter += ops
+        fwd = (g.out_first, g.out_nxt, g.e_head, g.e_tail)
+        bwd = (g.in_first, g.in_nxt, g.e_tail, g.e_head)
+        d_delta, self.touched_in, d_ops = self._drain(
+            removed_ids, self.desc, self.p_in, self.c_in, fwd, bwd
+        )
+        a_delta, self.touched_out, a_ops = self._drain(
+            removed_ids, self.anc, self.p_out, self.c_out, bwd, fwd
+        )
+        self.op_counter += d_ops + a_ops
         return d_delta, a_delta
+
+    def _drain(
+        self,
+        removed_ids: list[int],
+        reached: bytearray,
+        p: list[int],
+        c: list[int],
+        walk: tuple,
+        back: tuple,
+    ) -> tuple[list[int], set[int], int]:
+        """A removed primary cursor adopts the secondary or, with none,
+        drops its vertex and queues the vertex's ``walk`` edges; a removed
+        secondary advances.  Returns the dropped and the touched vertices
+        and the edges scanned."""
+        limit, e_ts, e_live = self.limit, self.g.e_ts, self.g.e_live
+        w_first, w_nxt = walk[0], walk[1]
+        nxt, far, near = back[1], back[2], back[3]
+        delta: list[int] = []
+        touched: set[int] = set()
+        ops = 0
+        queue = [e for e in removed_ids if e_ts[e] <= limit]
+        while queue:
+            e = queue.pop()
+            ops += 1
+            y = near[e]
+            if p[y] == e:
+                touched.add(y)
+                if c[y] == NIL:
+                    p[y] = NIL
+                    reached[y] = 0
+                    delta.append(y)
+                    e2 = w_first[y]
+                    while e2 != NIL and e_ts[e2] <= limit:
+                        ops += 1
+                        queue.append(e2)
+                        e2 = w_nxt[e2]
+                    continue
+                p[y] = e = c[y]
+            elif c[y] == e:
+                touched.add(y)
+            else:
+                continue
+            # the secondary cursor moves past e, the edge it sat on
+            c[y] = NIL
+            pos = nxt[e]
+            while pos != NIL and e_ts[pos] <= limit:
+                ops += 1
+                if e_live[pos] and reached[far[pos]]:
+                    c[y] = pos
+                    break
+                pos = nxt[pos]
+        return delta, touched, ops

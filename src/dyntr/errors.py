@@ -11,7 +11,8 @@ class BadUpdate(DynTrError, ValueError):
     """An update names a vertex outside [1..n], a self-loop, or no edges.
 
     Also raised by ``minimal_scss`` for an edge with an endpoint outside
-    the vertices it was given.  Also a ``ValueError``, which these inputs
+    the vertices it was given, and by a constructor given a vertex count
+    (or inverse size) below 1.  Also a ``ValueError``, which these inputs
     raised before the class existed.
     """
 
@@ -33,11 +34,10 @@ class MissingEdge(DynTrError):
 
 
 class CyclicInput(DynTrError):
-    """An acyclic graph was required but the input contains a cycle."""
+    """An acyclic graph was required but the input contains a cycle.
 
-
-class NotInterScc(DynTrError):
-    """A parallel-group lookup was made for an edge inside a single SCC."""
+    ``DecReach`` raises it for any graph not built with ``acyclic=True``.
+    """
 
 
 class NotStronglyConnected(DynTrError):

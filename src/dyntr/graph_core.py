@@ -24,7 +24,7 @@ the surviving part of the list (dead entries are skipped by checking
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import BadUpdate, CycleCreated, DuplicateEdge, MissingEdge, NotIncident
@@ -78,7 +78,7 @@ class TimestampedGraph:
 
     def __init__(self, n: int, *, acyclic: bool = False) -> None:
         if n < 1:
-            raise ValueError("vertex count must be positive")
+            raise BadUpdate(f"vertex count must be positive, got {n}")
         self.n = n
         self.acyclic = acyclic
         self.m = 0
@@ -112,27 +112,6 @@ class TimestampedGraph:
     def edge_list(self) -> list[Edge]:
         """All live edges, sorted lexicographically."""
         return sorted(self.eid)
-
-    def snapshot_adjacency(
-        self, v: int, root: int, direction: str = "out"
-    ) -> Iterator[Edge]:
-        """Live edges at ``v`` visible in the snapshot of ``root``.
-
-        Yields edges of the chosen adjacency list of ``v`` whose timestamp
-        does not exceed ``center_ts[root]``, in list (timestamp) order.
-        A root that was never an insertion center has an empty snapshot.
-        """
-        limit = self.center_ts[root]
-        e_ts, e_tail, e_head = self.e_ts, self.e_tail, self.e_head
-        if direction == "out":
-            e, nxt = self.out_first[v], self.out_nxt
-        elif direction == "in":
-            e, nxt = self.in_first[v], self.in_nxt
-        else:
-            raise ValueError("direction must be 'out' or 'in'")
-        while e != NIL and e_ts[e] <= limit:
-            yield (e_tail[e], e_head[e])
-            e = nxt[e]
 
     # ---- mutation ----
 

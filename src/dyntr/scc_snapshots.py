@@ -27,7 +27,6 @@ from array import array
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import MissingEdge, NotInterScc
 from .graph_core import NIL, Edge, TimestampedGraph
 
 
@@ -248,14 +247,6 @@ class SccSnapshots:
             self.groups[key] = ParallelGroup(
                 key[0], key[1], tuple(e for _, e in tagged)
             )
-
-    def parallel_group(self, x: int, y: int) -> ParallelGroup:
-        if (x, y) not in self.g.eid:
-            raise MissingEdge(f"edge ({x}, {y}) is not live")
-        cx, cy = self.comp_cur[x], self.comp_cur[y]
-        if cx == cy:
-            raise NotInterScc(f"edge ({x}, {y}) stays inside one component")
-        return self.groups[(cx, cy)]
 
     # ---- queries ----
 

@@ -22,6 +22,7 @@ from dyntr.cli import (
     serialize_stream,
 )
 from dyntr.errors import (
+    BadUpdate,
     CycleCreated,
     DuplicateEdge,
     MissingEdge,
@@ -302,6 +303,17 @@ class TestMain:
         assert code == 2
         assert "io error" in capsys.readouterr().err
 
+    def test_bench_without_vertices_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = cli.main(
+            ["bench", "--n", "0", "--steps", "5", "--out", str(out)]
+        )
+        assert code == 2
+        assert "engine error: vertex count must be positive" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 ENGINES = [("dag", "comb"), ("dag", "alg"), ("general", "comb"), ("general", "alg")]
 
@@ -311,6 +323,13 @@ def d3_on(mode, engine):
     eng.insert_centered(1, [(1, 2), (1, 3)])
     eng.insert_centered(3, [(3, 2)])
     return eng
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("mode,engine", ENGINES)
+def test_vertex_count_below_one_is_a_dyntr_error(mode, engine, n):
+    with pytest.raises(BadUpdate, match="must be positive"):
+        make_engine(mode, engine, n)
 
 
 @pytest.mark.parametrize("mode,engine", ENGINES)

@@ -76,15 +76,19 @@ class TestInit:
         assert st_.p_out == [NIL] * 5
 
     def test_cyclic_snapshot_rejected(self):
-        g = TimestampedGraph(2)
-        g.apply_insert_centered(1, [(1, 2)])
-        g.apply_insert_centered(2, [(2, 1)])
-        try:
-            DecReach(g, 2)
-        except CyclicInput:
-            pass
-        else:
-            raise AssertionError("expected CyclicInput")
+        cyclic = TimestampedGraph(2)
+        cyclic.apply_insert_centered(1, [(1, 2)])
+        cyclic.apply_insert_centered(2, [(2, 1)])
+        # an acyclic snapshot is refused too: only acyclic=True promises one
+        path = TimestampedGraph(2)
+        path.apply_insert_centered(1, [(1, 2)])
+        for g, root in ((cyclic, 2), (path, 1)):
+            try:
+                DecReach(g, root)
+            except CyclicInput:
+                pass
+            else:
+                raise AssertionError("expected CyclicInput")
 
 
 class TestDelete:

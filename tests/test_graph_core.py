@@ -14,7 +14,7 @@ from dyntr.errors import (
     MissingEdge,
     NotIncident,
 )
-from dyntr.graph_core import DeleteSet, InsertCentered, TimestampedGraph
+from dyntr.graph_core import NIL, DeleteSet, InsertCentered, TimestampedGraph
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -44,7 +44,7 @@ def test_second_insertion_extends_chain():
     assert g.center_ts[2] == 0
     assert g.center_ts[1] == 1
     assert g.center_ts[3] == 2
-    snap = lambda r: {e for v in range(1, 4) for e in g.snapshot_adjacency(v, r)}
+    snap = lambda r: set(oracle.snapshot_edges_of(g, r))
     assert snap(2) <= snap(1) <= snap(3)
     assert snap(3) == {(1, 2), (1, 3), (3, 2)}
 
@@ -110,20 +110,11 @@ def test_delete_examples():
     assert not reach[1] >> 2 & 1
 
 
-def test_snapshot_adjacency_examples():
-    g = build_d3()
-    assert list(g.snapshot_adjacency(1, 1, "out")) == [(1, 2), (1, 3)]
-    assert list(g.snapshot_adjacency(3, 3, "out")) == [(3, 2)]
-    assert list(g.snapshot_adjacency(3, 1, "out")) == []
-    assert list(g.snapshot_adjacency(2, 2, "in")) == []
-    assert list(g.snapshot_adjacency(2, 3, "in")) == [(1, 2), (3, 2)]
-
-
 def test_snapshots_observe_deletions():
     g = build_d3()
     g.apply_delete([(1, 2)])
-    assert list(g.snapshot_adjacency(1, 1, "out")) == [(1, 3)]
     assert sorted(oracle.snapshot_edges_of(g, 1)) == [(1, 3)]
+    assert sorted(oracle.snapshot_edges_of(g, 3)) == [(1, 3), (3, 2)]
 
 
 def _apply_stream(g: TimestampedGraph, updates) -> None:
@@ -166,15 +157,16 @@ def test_adjacency_stays_ts_sorted(n, seed):
     g = TimestampedGraph(n)
     updates = oracle.random_update_stream(n, 30, "general", 0.4, seed=seed)
     _apply_stream(g, updates)
+    # each list holds exactly the live edges at v, in timestamp order,
+    # which DecReach's cursors rely on
     for v in range(1, n + 1):
-        for direction in ("out", "in"):
-            stamps = [g.ts_of(t, h) for t, h in g.snapshot_adjacency(v, v, direction)]
-            assert stamps == sorted(stamps)
-    # full lists via the newest snapshot
-    if any(g.center_ts[r] for r in range(1, n + 1)):
-        newest = max(range(1, n + 1), key=lambda r: g.center_ts[r])
-        for v in range(1, n + 1):
-            stamps = [
-                g.ts_of(t, h) for t, h in g.snapshot_adjacency(v, newest, "out")
-            ]
+        for first, nxt, end in ((g.out_first, g.out_nxt, 0), (g.in_first, g.in_nxt, 1)):
+            walked = []
+            e = first[v]
+            while e != NIL:
+                walked.append(e)
+                e = nxt[e]
+            live = [e for edge, e in g.eid.items() if edge[end] == v]
+            assert sorted(walked) == sorted(live)
+            stamps = [g.e_ts[e] for e in walked]
             assert stamps == sorted(stamps)

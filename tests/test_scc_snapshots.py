@@ -1,11 +1,9 @@
 """Snapshot SCC views, witness flags, and parallel group bookkeeping."""
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dyntr import DeleteSet, InsertCentered, TimestampedGraph
-from dyntr.errors import MissingEdge, NotInterScc
 from dyntr.graph_core import NIL
 from dyntr.oracle import (
     random_update_stream,
@@ -38,6 +36,10 @@ def two_cycle_fixture():
     return g, scc
 
 
+def group_of(scc, x, y):
+    return scc.groups[(scc.comp_cur[x], scc.comp_cur[y])]
+
+
 def c3_fixture():
     g = TimestampedGraph(3)
     scc = SccSnapshots(g)
@@ -50,12 +52,12 @@ def c3_fixture():
 class TestGroups:
     def test_two_cycle_group_membership(self):
         _, scc = two_cycle_fixture()
-        group = scc.parallel_group(2, 4)
+        group = group_of(scc, 2, 4)
         assert group.members == ((1, 3), (2, 4))
         assert group.size == 2
         assert group.marked == (1, 3)
         assert group.marked != (2, 4)
-        assert scc.parallel_group(1, 3) is group
+        assert group_of(scc, 1, 3) is group
 
     def test_dag_groups_are_marked_singletons(self):
         g = TimestampedGraph(3)
@@ -65,28 +67,16 @@ class TestGroups:
         g.apply_insert_centered(3, [(3, 2)])
         scc.rebuild(3)
         for edge in [(1, 2), (1, 3), (3, 2)]:
-            group = scc.parallel_group(*edge)
+            group = group_of(scc, *edge)
             assert group.size == 1
             assert group.marked == edge
-
-    def test_intra_edge_is_rejected(self):
-        _, scc = c3_fixture()
-        with pytest.raises(NotInterScc):
-            scc.parallel_group(1, 2)
-
-    def test_dead_edge_is_rejected(self):
-        g, scc = two_cycle_fixture()
-        g.apply_delete([(2, 4)])
-        scc.delete([])
-        with pytest.raises(MissingEdge):
-            scc.parallel_group(2, 4)
 
     def test_group_reelection_after_delete(self):
         g, scc = two_cycle_fixture()
         eid = g.eid[(1, 3)]
         g.apply_delete([(1, 3)])
         scc.delete([eid])
-        group = scc.parallel_group(2, 4)
+        group = group_of(scc, 2, 4)
         assert group.members == ((2, 4),)
         assert group.marked == (2, 4)
 
@@ -131,7 +121,7 @@ class TestDelete:
         eid = g.eid[(1, 2)]
         g.apply_delete([(1, 2)])
         scc.delete([eid])
-        group = scc.parallel_group(2, 4)
+        group = group_of(scc, 2, 4)
         assert group.size == 1
         # component A fell apart in every view, since each held both
         # cycle edges, while B = {3, 4} stayed whole
@@ -307,7 +297,7 @@ def test_group_totality_and_nesting(case):
         seen = set()
         for t, h in g.edge_list():
             if comp[t] != comp[h]:
-                group = scc.parallel_group(t, h)
+                group = group_of(scc, t, h)
                 assert (t, h) in group.members
                 assert group.members.count((t, h)) == 1
                 seen.add((t, h))

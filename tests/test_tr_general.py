@@ -125,7 +125,7 @@ def two_cycle_engine():
 class TestInsert:
     def test_marked_edge_represents_its_group(self):
         eng = two_cycle_engine()
-        group = eng.scc.parallel_group(1, 3)
+        group = eng.scc.groups[(eng.scc.comp_cur[1], eng.scc.comp_cur[3])]
         assert group.marked == (1, 3)
         tr = eng.tr_edges()
         assert tr == [(1, 2), (1, 3), (2, 1), (3, 4), (4, 3)]
@@ -155,7 +155,7 @@ class TestDelete:
     def test_surviving_sibling_is_promoted(self):
         eng = two_cycle_engine()
         eng.delete_edges([(1, 3)])
-        group = eng.scc.parallel_group(2, 4)
+        group = eng.scc.groups[(eng.scc.comp_cur[2], eng.scc.comp_cur[4])]
         assert group.marked == (2, 4)
         tr = eng.tr_edges()
         assert (2, 4) in tr
@@ -164,7 +164,7 @@ class TestDelete:
     def test_component_split_updates_condensation(self):
         eng = two_cycle_engine()
         eng.delete_edges([(1, 2)])
-        group = eng.scc.parallel_group(2, 1)
+        group = eng.scc.groups[(eng.scc.comp_cur[2], eng.scc.comp_cur[1])]
         assert group.size == 1
         tr = eng.tr_edges()
         assert validity_triple(eng.g.n, eng.g.edge_list(), tr) is None
