@@ -25,15 +25,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .algebraic import AlgebraicDag, AlgebraicGeneral
-from .errors import DynTrError, MissingEdge, ParseError, StreamCheckError
-from .graph_core import DeleteSet, Edge, InsertCentered, TimestampedGraph, Update
-from .oracle import (
-    brute_redundant,
-    brute_tr_dag,
-    brute_tr_general,
-    random_update_stream,
-    validity_triple,
-)
+from .errors import DynTrError, ParseError, StreamCheckError
+from .graph_core import DeleteSet, Edge, InsertCentered, Update
+from .oracle import OracleEngine, brute_tr_dag, random_update_stream, validity_triple
 from .tr_dag import TrDag
 from .tr_general import TrGeneral
 
@@ -162,33 +156,6 @@ def serialize_stream(stream: Stream) -> str:
 # ---- engines behind one interface ----
 
 
-class _OracleEngine:
-    """From-scratch recomputation behind the engine interface."""
-
-    def __init__(self, n: int, mode: str) -> None:
-        self.mode = mode
-        self.g = TimestampedGraph(n, acyclic=(mode == "dag"))
-
-    def insert_centered(self, center, edges) -> None:
-        self.g.apply_insert_centered(center, list(edges))
-
-    def delete_edges(self, removed) -> None:
-        self.g.apply_delete(list(removed))
-
-    def tr_edges(self) -> list[Edge]:
-        g = self.g
-        live = list(g.eid)
-        if self.mode == "dag":
-            return sorted(brute_tr_dag(g.n, live))
-        order = {edge: g.e_ts[e] for edge, e in g.eid.items()}
-        return sorted(brute_tr_general(g.n, live, order))
-
-    def is_redundant(self, x: int, y: int) -> bool:
-        if (x, y) not in self.g.eid:
-            raise MissingEdge(f"edge ({x}, {y}) is not live")
-        return brute_redundant(self.g.n, list(self.g.eid), x, y)
-
-
 def make_engine(mode: str, engine: str, n: int, seed: int = 0):
     if engine == "comb":
         return TrDag(n) if mode == "dag" else TrGeneral(n)
@@ -197,7 +164,7 @@ def make_engine(mode: str, engine: str, n: int, seed: int = 0):
             return AlgebraicDag(n, seed=seed)
         return AlgebraicGeneral(n, seed=seed)
     if engine == "oracle":
-        return _OracleEngine(n, mode)
+        return OracleEngine(n, mode)
     raise ValueError(f"unknown engine {engine!r}")
 
 

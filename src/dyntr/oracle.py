@@ -4,7 +4,9 @@ Every function here recomputes its answer from first principles on plain
 ``(n, edges)`` data (or on the public surface of a
 :class:`~dyntr.graph_core.TimestampedGraph`), sharing no state and no code
 path with the incremental engines, so engine outputs can be checked
-against genuinely independent results.
+against genuinely independent results.  ``OracleEngine`` puts those
+recomputations behind the engine interface for ``dyntr run --engine
+oracle``.
 """
 
 from __future__ import annotations
@@ -559,3 +561,30 @@ def replay(n: int, updates: Sequence[Update]) -> set[Edge]:
         else:
             live -= set(upd.edges)
     return live
+
+
+class OracleEngine:
+    """From-scratch recomputation behind the engine interface."""
+
+    def __init__(self, n: int, mode: str) -> None:
+        self.mode = mode
+        self.g = TimestampedGraph(n, acyclic=(mode == "dag"))
+
+    def insert_centered(self, center, edges) -> None:
+        self.g.apply_insert_centered(center, list(edges))
+
+    def delete_edges(self, removed) -> None:
+        self.g.apply_delete(list(removed))
+
+    def tr_edges(self) -> list[Edge]:
+        g = self.g
+        live = list(g.eid)
+        if self.mode == "dag":
+            return sorted(brute_tr_dag(g.n, live))
+        order = {edge: g.e_ts[e] for edge, e in g.eid.items()}
+        return sorted(brute_tr_general(g.n, live, order))
+
+    def is_redundant(self, x: int, y: int) -> bool:
+        if (x, y) not in self.g.eid:
+            raise MissingEdge(f"edge ({x}, {y}) is not live")
+        return brute_redundant(self.g.n, list(self.g.eid), x, y)

@@ -3,22 +3,32 @@
 Each centered vertex keeps a view of its frozen snapshot: the root's
 descendant and ancestor sets, plus, for every reached vertex, the
 snapshot edge that first reached it in the forward and in the backward
-search.  Those parent edges form an out-tree spanning the descendants
-and an in-tree spanning the ancestors.  The snapshot's SCC partition and
-the per-SCC witness flags (is a component entered from a proper
-descendant of the root, or left toward a proper ancestor) are computed
-on the first query of a view and kept until the view is replaced.
+breadth-first search.  Those parent edges form an out-tree spanning the
+descendants and an in-tree spanning the ancestors; breadth-first order
+keeps the trees shallow.  The snapshot's SCC partition and the per-SCC
+witness flags (is a component entered from a proper descendant of the
+root, or left toward a proper ancestor) are computed on the first query
+of a view and kept until the view is replaced.
 
 A deletion replaces the view of every snapshot that held a removed
 edge.  A side whose tree lost no edge is carried over unchanged: the
 tree still spans the same set in the smaller snapshot, and a subgraph
-cannot reach more.  Only a side whose tree lost an edge is searched
-again, which is the tree-edge test of decremental reachability (Even and
-Shiloach, 1981).  Every other view is left as it was.
+cannot reach more (Even and Shiloach, 1981).  A side whose tree lost
+edges repairs the tree first: each vertex that lost its parent edge
+takes a live snapshot edge from a reached vertex whose tree path to the
+root avoids every vertex still waiting for a parent.  When every lost
+vertex finds one, each old tree path is rerouted over live edges, so the
+reached set is unchanged and only the parent array is new.  Only a side
+where some lost vertex finds no parent is searched again.
 
 A global table of parallel edge groups is kept alongside, on the current
 graph: all live edges joining the same ordered pair of components form
-one group, ordered by age, and the front member is the marked one.
+one group, ordered by age, and the front member is the marked one.  The
+condensation behind it is recomputed only when an update can change it:
+an insertion whose new edge joins two different components, or a
+deletion of an edge inside a component whose tail no longer reaches its
+head.  Any other deletion only drops the removed edges from their
+groups.
 """
 
 from __future__ import annotations
@@ -76,40 +86,115 @@ def condensation(g: TimestampedGraph) -> list[int]:
     return _strong_components(g.n, g.eid)
 
 
-def _search(
-    g: TimestampedGraph, root: int, first: list[int], nxt: list[int], far: list[int]
-) -> tuple[bytearray, array]:
-    """Vertices ``root`` reaches in its snapshot along one orientation.
+def _search(g: TimestampedGraph, root: int, walk: tuple) -> tuple[bytearray, array]:
+    """Vertices ``root`` reaches in its snapshot along ``walk``.
 
-    Walks the graph's own adjacency lists (``first``/``nxt``) cut at the
-    snapshot limit.  Returns the reached flags and, per vertex, the edge
-    that first reached it (``NIL`` for the root and unreached vertices).
+    An orientation ``(first, nxt, far, near)`` names the adjacency lists
+    to walk and, for an edge on the list of v, its endpoint away from v
+    and at v.  The lists are cut at the snapshot limit and walked breadth
+    first.  Returns the reached flags and, per vertex, the edge that
+    first reached it (``NIL`` for the root and unreached vertices).
     """
-    limit = g.center_ts[root]
-    e_ts = g.e_ts
+    first, nxt, far, _ = walk
+    limit, e_ts = g.center_ts[root], g.e_ts
     seen = bytearray(g.n + 1)
     par = array("i", [NIL]) * (g.n + 1)
     seen[root] = 1
-    stack = [root]
-    while stack:
-        v = stack.pop()
+    queue = [root]
+    # the loop also visits the vertices appended while it runs
+    for v in queue:
         e = first[v]
         while e != NIL and e_ts[e] <= limit:
             w = far[e]
             if not seen[w]:
                 seen[w] = 1
                 par[w] = e
-                stack.append(w)
+                queue.append(w)
             e = nxt[e]
     return seen, par
+
+
+def _reparent(
+    g: TimestampedGraph,
+    root: int,
+    side: tuple[bytearray, array],
+    hit: list[int],
+    back: tuple,
+) -> tuple[bytearray, array] | None:
+    """A view side ``(reached, par)`` with its tree edges in ``hit`` replaced.
+
+    ``back`` is the orientation opposite to the side's search: its lists
+    hold the edges that could reach a vertex, and the tree path of a
+    vertex steps to the ``far`` end of its tree edge.  A vertex whose tree
+    edge is in ``hit`` takes the first live snapshot edge from a reached
+    vertex whose tree path to ``root`` avoids every vertex still waiting
+    for a parent; that path can no longer change, so the tree stays
+    acyclic and spans the same reached set.  ``par`` is returned as it is
+    when no tree edge was hit, else as a repaired copy; the result is
+    ``None`` when some lost vertex found no parent.
+    """
+    reached, par = side
+    first, nxt, far, near = back
+    lost = [near[e] for e in hit if par[near[e]] == e]
+    if not lost:
+        return side
+    limit, e_ts = g.center_ts[root], g.e_ts
+    par = array("i", par)
+    waiting = bytearray(g.n + 1)
+    for v in lost:
+        waiting[v] = 1
+    while lost:
+        left = []
+        for v in lost:
+            e = first[v]
+            while e != NIL and e_ts[e] <= limit:
+                u = far[e]
+                if reached[u]:
+                    w = u
+                    while w != root and not waiting[w]:
+                        w = far[par[w]]
+                    if w == root:
+                        par[v] = e
+                        waiting[v] = 0
+                        break
+                e = nxt[e]
+            else:
+                left.append(v)
+        if len(left) == len(lost):
+            return None
+        lost = left
+    return reached, par
+
+
+def has_detour(g: TimestampedGraph, x: int, y: int) -> bool:
+    """True iff ``y`` is reachable from ``x`` without the edge (x, y).
+
+    Walks the graph's own out-lists, which hold live edges only, and
+    skips the queried edge by its id.
+    """
+    skip = g.eid.get((x, y), NIL)
+    e_head, out_first, out_nxt = g.e_head, g.out_first, g.out_nxt
+    seen = bytearray(g.n + 1)
+    seen[x] = 1
+    stack = [x]
+    while stack:
+        e = out_first[stack.pop()]
+        while e != NIL:
+            if e != skip:
+                w = e_head[e]
+                if w == y:
+                    return True
+                if not seen[w]:
+                    seen[w] = 1
+                    stack.append(w)
+            e = out_nxt[e]
+    return False
 
 
 @dataclass(frozen=True)
 class ParallelGroup:
     """Live edges joining one ordered pair of current-graph components."""
 
-    from_scc: int
-    to_scc: int
     members: tuple[Edge, ...]
 
     @property
@@ -172,6 +257,9 @@ class SccSnapshots:
 
     def __init__(self, g: TimestampedGraph) -> None:
         self.g = g
+        # the graph mutates its lists in place, so these stay current
+        self.fwd = (g.out_first, g.out_nxt, g.e_head, g.e_tail)
+        self.bwd = (g.in_first, g.in_nxt, g.e_tail, g.e_head)
         self.views: dict[int, _RootView] = {}
         self.comp_cur: list[int] = list(range(g.n + 1))
         self.groups: dict[tuple[int, int], ParallelGroup] = {}
@@ -182,56 +270,87 @@ class SccSnapshots:
     def _build_view(
         self,
         root: int,
-        old: _RootView | None = None,
-        redo_out: bool = True,
-        redo_in: bool = True,
+        out_side: tuple[bytearray, array] | None = None,
+        in_side: tuple[bytearray, array] | None = None,
     ) -> _RootView:
-        """A view of ``root``'s snapshot, searching the sides asked for.
+        """A view of ``root``'s snapshot.
 
-        A side not searched again is carried over from ``old``.
+        A side given as its (reached flags, parent edges) is kept; a side
+        given as ``None`` is searched.
         """
         g = self.g
-        if redo_out:
-            desc, out_par = _search(g, root, g.out_first, g.out_nxt, g.e_head)
-        else:
-            desc, out_par = old.desc, old.out_par
-        if redo_in:
-            anc, in_par = _search(g, root, g.in_first, g.in_nxt, g.e_tail)
-        else:
-            anc, in_par = old.anc, old.in_par
+        desc, out_par = out_side or _search(g, root, self.fwd)
+        anc, in_par = in_side or _search(g, root, self.bwd)
         return _RootView(g, root, desc, out_par, anc, in_par)
 
     def rebuild(self, root: int) -> None:
+        """Search ``root``'s snapshot after an insertion centered at it.
+
+        The new edges are the ones at the ends of the root's lists that
+        carry its stamp.  Only a new edge joining two components can merge
+        components or join a group, so only then is the table recomputed.
+        """
         self.views[root] = self._build_view(root)
-        self.refresh_groups()
+        g, comp = self.g, self.comp_cur
+        e_ts, e_tail, e_head = g.e_ts, g.e_tail, g.e_head
+        stamp = g.center_ts[root]
+        for last, prv in ((g.out_last, g.out_prv), (g.in_last, g.in_prv)):
+            e = last[root]
+            while e != NIL and e_ts[e] == stamp:
+                if comp[e_tail[e]] != comp[e_head[e]]:
+                    self.refresh_groups()
+                    return
+                e = prv[e]
 
     # ---- deletion ----
 
     def delete(self, removed_ids: Iterable[int]) -> None:
         """Replace every view whose snapshot held one of the removed ids.
 
-        A side is searched again only when a removed id is the edge that
-        reached its head (out-tree) or its tail (in-tree).
+        A side whose tree lost an edge is repaired by ``_reparent``, and
+        searched again only when that fails.  The group table is then
+        updated by ``_drop_from_groups``.
         """
-        g = self.g
-        e_ts, e_tail, e_head = g.e_ts, g.e_tail, g.e_head
+        g, e_ts = self.g, self.g.e_ts
         ids = list(removed_ids)
         views = self.views
         for root, old in views.items():
             hit = [e for e in ids if e_ts[e] <= old.limit]
             if not hit:
                 continue
-            redo_out = any(old.out_par[e_head[e]] == e for e in hit)
-            redo_in = any(old.in_par[e_tail[e]] == e for e in hit)
-            if redo_out or redo_in:
-                views[root] = self._build_view(root, old, redo_out, redo_in)
+            out_side = _reparent(g, root, (old.desc, old.out_par), hit, self.bwd)
+            in_side = _reparent(g, root, (old.anc, old.in_par), hit, self.fwd)
+            if out_side and in_side:
+                views[root] = _RootView(g, root, *out_side, *in_side)
             else:
-                views[root] = _RootView(
-                    g, root, old.desc, old.out_par, old.anc, old.in_par
-                )
-        self.refresh_groups()
+                views[root] = self._build_view(root, out_side, in_side)
+        self._drop_from_groups(ids)
 
     # ---- parallel groups on the current graph ----
+
+    def _drop_from_groups(self, removed_ids: list[int]) -> None:
+        """Take removed edges out of the group table.
+
+        A removed edge inside a component whose tail still reaches its
+        head leaves the component whole, since every old path can take
+        the detour; if all of them do, the condensation stands and each
+        removed edge between components only leaves its group.
+        """
+        g, comp = self.g, self.comp_cur
+        removed = [(g.e_tail[e], g.e_head[e]) for e in removed_ids]
+        if any(comp[t] == comp[h] and not has_detour(g, t, h) for t, h in removed):
+            self.refresh_groups()
+            return
+        groups = self.groups
+        for t, h in removed:
+            key = (comp[t], comp[h])
+            if key[0] == key[1]:
+                continue
+            members = tuple(m for m in groups[key].members if m != (t, h))
+            if members:
+                groups[key] = ParallelGroup(members)
+            else:
+                del groups[key]
 
     def refresh_groups(self) -> None:
         g = self.g
@@ -244,9 +363,7 @@ class SccSnapshots:
         self.groups = {}
         for key, tagged in buckets.items():
             tagged.sort(key=lambda item: (item[0], item[1]))
-            self.groups[key] = ParallelGroup(
-                key[0], key[1], tuple(e for _, e in tagged)
-            )
+            self.groups[key] = ParallelGroup(tuple(e for _, e in tagged))
 
     # ---- queries ----
 

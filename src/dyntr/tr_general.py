@@ -7,9 +7,9 @@ the one marked representative of every parallel group.  This module owns
 the minimal spanning-subset routine, ``general_reduction``, which
 assembles both parts for ``TrGeneral`` and ``AlgebraicGeneral`` alike
 (each engine supplies the test deciding whether a parallel group keeps
-its representative), ``has_detour``, the direct path probe
-``TrGeneral.is_redundant`` uses for an edge inside one component, and the
-combinatorial engine.
+its representative), and the combinatorial engine, whose
+``is_redundant`` answers for an edge inside one component with the
+``has_detour`` path probe of ``scc_snapshots``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import BadUpdate, MissingEdge, NotStronglyConnected
-from .graph_core import NIL, Edge, TimestampedGraph
-from .scc_snapshots import SccSnapshots
+from .graph_core import Edge, TimestampedGraph
+from .scc_snapshots import SccSnapshots, has_detour
 
 
 def _covers_strongly(vertices: Sequence[int], edges: Iterable[Edge]) -> bool:
@@ -121,31 +121,6 @@ def general_reduction(
         if keep_group(edges, cf, ct):
             result.append(edges[0])
     return sorted(result)
-
-
-def has_detour(g: TimestampedGraph, x: int, y: int) -> bool:
-    """True iff ``y`` is reachable from ``x`` without the edge (x, y).
-
-    Walks the graph's own out-lists, which hold live edges only, and
-    skips the queried edge by its id.
-    """
-    skip = g.eid.get((x, y), NIL)
-    e_head, out_first, out_nxt = g.e_head, g.out_first, g.out_nxt
-    seen = bytearray(g.n + 1)
-    seen[x] = 1
-    stack = [x]
-    while stack:
-        e = out_first[stack.pop()]
-        while e != NIL:
-            if e != skip:
-                w = e_head[e]
-                if w == y:
-                    return True
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-            e = out_nxt[e]
-    return False
 
 
 class TrGeneral:

@@ -1,5 +1,6 @@
 """Snapshot SCC views, witness flags, and parallel group bookkeeping."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,7 @@ from dyntr.oracle import (
     snapshot_edges_of,
     transitive_closure,
 )
-from dyntr.scc_snapshots import SccSnapshots
+from dyntr.scc_snapshots import SccSnapshots, condensation
 
 PROPERTY_SETTINGS = settings(
     max_examples=100,
@@ -137,6 +138,27 @@ class TestDelete:
         }
 
 
+def spy(monkeypatch, name):
+    """Record the root (or ``None``) of every call to an SccSnapshots method."""
+    calls = []
+    original = getattr(SccSnapshots, name)
+
+    def counted(self, *args):
+        calls.append(args[0] if args else None)
+        return original(self, *args)
+
+    monkeypatch.setattr(SccSnapshots, name, counted)
+    return calls
+
+
+def assert_views_exact(g, scc):
+    for root, view in scc.views.items():
+        reach = transitive_closure(g.n, snapshot_edges_of(g, root))
+        for v in range(1, g.n + 1):
+            assert view.desc[v] == reach[root] >> v & 1
+            assert view.anc[v] == reach[v] >> root & 1
+
+
 def test_non_tree_deletion_keeps_reach_and_drops_labels(monkeypatch):
     # root 1 reaches 2 and 3 by its own edges, so the cycle edge (3, 2)
     # lies outside both of its trees; deleting it splits {2, 3}
@@ -149,14 +171,7 @@ def test_non_tree_deletion_keeps_reach_and_drops_labels(monkeypatch):
     old = scc.views[1]
     assert old.scc_of[2] == old.scc_of[3]
     assert scc.in_query(3, 1) is False
-    built = []
-    original = SccSnapshots._build_view
-
-    def counted(self, root, *args):
-        built.append(root)
-        return original(self, root, *args)
-
-    monkeypatch.setattr(SccSnapshots, "_build_view", counted)
+    built = spy(monkeypatch, "_build_view")
     eid = g.eid[(3, 2)]
     g.apply_delete([(3, 2)])
     scc.delete([eid])
@@ -332,11 +347,8 @@ def test_deletion_deltas_are_sound(case):
         g.apply_delete(upd.edges)
         scc.delete(ids)
         assert set(scc.views) == set(before)
+        assert_views_exact(g, scc)
         for root, view in scc.views.items():
-            reach = transitive_closure(n, snapshot_edges_of(g, root))
-            for v in range(1, n + 1):
-                assert view.desc[v] == reach[root] >> v & 1
-                assert view.anc[v] == reach[v] >> root & 1
             old, desc_b, anc_b, scc_b = before[root]
             if not any(ts <= old.limit for ts in stamps):
                 assert view is old
@@ -370,3 +382,111 @@ def test_parent_edges_form_live_snapshot_trees(case):
                     assert g.e_ts[e] <= view.limit
                     assert far[e] == v
                     assert reached[near[e]]
+                    # the parent path reaches the root: the tree has no cycle
+                    w = v
+                    for _ in range(n):
+                        if w == root:
+                            break
+                        w = near[par[w]]
+                    assert w == root
+
+
+@pytest.mark.parametrize("mirror", [False, True], ids=["out-tree", "in-tree"])
+@pytest.mark.parametrize(
+    "batches,removed,rebuilt",
+    [
+        # 2 keeps the edge (3, 2) from outside its subtree
+        ([(3, [(3, 2)]), (1, [(1, 2), (1, 3)])], (1, 2), []),
+        # (1, 3) was the last snapshot edge into 3
+        ([(3, [(3, 2)]), (1, [(1, 2), (1, 3)])], (1, 3), [1]),
+        # the other edge into 2 comes from 2's own subtree
+        ([(2, [(2, 3), (3, 2)]), (1, [(1, 2)])], (1, 2), [1]),
+    ],
+    ids=["reparented", "last-edge", "own-subtree"],
+)
+def test_lost_tree_edge_is_reparented_or_searched(
+    monkeypatch, mirror, batches, removed, rebuilt
+):
+    # root 1 reaches 2 through the removed edge; mirrored, every edge is
+    # reversed, so the same holds for root 1's in-tree
+    def orient(edge):
+        return edge[::-1] if mirror else edge
+
+    g = TimestampedGraph(3)
+    scc = SccSnapshots(g)
+    for center, batch in batches:
+        g.apply_insert_centered(center, [orient(e) for e in batch])
+        scc.rebuild(center)
+    built = spy(monkeypatch, "_build_view")
+    scc.delete(g.apply_delete([orient(removed)]))
+    assert built == rebuilt
+    assert_views_exact(g, scc)
+
+
+def scratch_groups(g, comp):
+    tagged = {}
+    for (t, h), e in g.eid.items():
+        if comp[t] != comp[h]:
+            tagged.setdefault((comp[t], comp[h]), []).append((g.e_ts[e], (t, h)))
+    return {key: tuple(edge for _, edge in sorted(items)) for key, items in tagged.items()}
+
+
+@given(general_streams())
+@PROPERTY_SETTINGS
+def test_kept_condensation_matches_from_scratch(case):
+    n, updates = case
+    g = TimestampedGraph(n)
+    scc = SccSnapshots(g)
+    for upd in updates:
+        drive(g, scc, upd)
+        comp = scc.comp_cur
+        assert partition_groups(comp, n) == partition_groups(condensation(g), n)
+        got = {key: grp.members for key, grp in scc.groups.items()}
+        assert got == scratch_groups(g, comp)
+
+
+class TestKeptCondensation:
+    def test_intra_deletion_with_detour_keeps_it(self, monkeypatch):
+        g, scc = c3_fixture()
+        g.apply_insert_centered(1, [(1, 3)])
+        scc.rebuild(1)
+        comp = scc.comp_cur
+        refreshed = spy(monkeypatch, "refresh_groups")
+        # 1 still reaches 3 through 2
+        scc.delete(g.apply_delete([(1, 3)]))
+        assert refreshed == []
+        assert scc.comp_cur is comp
+
+    def test_intra_insertion_keeps_it(self, monkeypatch):
+        g, scc = c3_fixture()
+        refreshed = spy(monkeypatch, "refresh_groups")
+        g.apply_insert_centered(1, [(1, 3)])
+        scc.rebuild(1)
+        assert refreshed == []
+        assert scc.groups == {}
+
+    def test_inter_deletion_edits_its_group(self, monkeypatch):
+        g, scc = two_cycle_fixture()
+        refreshed = spy(monkeypatch, "refresh_groups")
+        scc.delete(g.apply_delete([(2, 4)]))
+        assert refreshed == []
+        assert group_of(scc, 1, 3).members == ((1, 3),)
+        scc.delete(g.apply_delete([(1, 3)]))
+        assert refreshed == []
+        assert scc.groups == {}
+
+    def test_splitting_deletion_recomputes_it(self, monkeypatch):
+        g, scc = c3_fixture()
+        refreshed = spy(monkeypatch, "refresh_groups")
+        scc.delete(g.apply_delete([(1, 2)]))
+        assert refreshed == [None]
+        assert len(set(scc.comp_cur[1:])) == 3
+
+    def test_inter_insertion_recomputes_it(self, monkeypatch):
+        g, scc = two_cycle_fixture()
+        refreshed = spy(monkeypatch, "refresh_groups")
+        # (4, 1) closes a cycle through both components
+        g.apply_insert_centered(4, [(4, 1)])
+        scc.rebuild(4)
+        assert refreshed == [None]
+        assert scc.groups == {}
