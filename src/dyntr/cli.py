@@ -66,7 +66,8 @@ class Stream:
 
 
 def _num(tok: str, line_no: int, what: str) -> int:
-    if not tok.isdigit() or (len(tok) > 1 and tok[0] == "0"):
+    # str.isdigit alone also accepts digits such as "²" and "١"
+    if not (tok.isascii() and tok.isdigit()) or (len(tok) > 1 and tok[0] == "0"):
         raise ParseError(line_no, f"bad {what} {tok!r}")
     return int(tok)
 
@@ -336,7 +337,11 @@ def main(argv: list[str] | None = None) -> int:
             if args.stream == "-":
                 text = sys.stdin.read()
             else:
-                text = Path(args.stream).read_text(encoding="utf-8")
+                # bytes that are not UTF-8 become lone surrogates, which no
+                # token accepts, so they end in a ParseError as on stdin
+                text = Path(args.stream).read_text(
+                    encoding="utf-8", errors="surrogateescape"
+                )
             sys.stdout.write(
                 run_stream(
                     text,

@@ -19,9 +19,8 @@ deleted edge can still advance; scans simply skip entries whose live flag
 is off.
 
 Each job (the snapshot search, the cursor pass, the drain of removed
-edges) is written once and takes an orientation ``(first, nxt, far,
-near)``: the lists to walk and, for an edge on the list of v, its
-endpoint away from v and at v.  The descendant side searches the
+edges) is written once and takes one of the graph's orientations
+(``g.fwd``/``g.bwd``, see graph_core).  The descendant side searches the
 out-lists and keeps its cursors on the in-lists; the ancestor side swaps
 the two.  The graph must be built with ``acyclic=True``, the only
 guarantee of the acyclic snapshots the cursor invariant needs.
@@ -67,12 +66,10 @@ class DecReach:
         self.g = g
         self.root = root
         self.limit = g.center_ts[root]
-        fwd = (g.out_first, g.out_nxt, g.e_head, g.e_tail)
-        bwd = (g.in_first, g.in_nxt, g.e_tail, g.e_head)
-        self.desc, d_ops = self._search(fwd)
-        self.anc, a_ops = self._search(bwd)
-        self.p_in, self.c_in, i_ops = self._cursors(self.desc, bwd)
-        self.p_out, self.c_out, o_ops = self._cursors(self.anc, fwd)
+        self.desc, d_ops = self._search(g.fwd)
+        self.anc, a_ops = self._search(g.bwd)
+        self.p_in, self.c_in, i_ops = self._cursors(self.desc, g.bwd)
+        self.p_out, self.c_out, o_ops = self._cursors(self.anc, g.fwd)
         self.touched_in: set[int] = set()
         self.touched_out: set[int] = set()
         self.op_counter = d_ops + a_ops + i_ops + o_ops
@@ -156,9 +153,7 @@ class DecReach:
         every vertex whose cursors were reassigned, a superset of the
         vertices whose query answers may have flipped.
         """
-        g = self.g
-        fwd = (g.out_first, g.out_nxt, g.e_head, g.e_tail)
-        bwd = (g.in_first, g.in_nxt, g.e_tail, g.e_head)
+        fwd, bwd = self.g.fwd, self.g.bwd
         d_delta, self.touched_in, d_ops = self._drain(
             removed_ids, self.desc, self.p_in, self.c_in, fwd, bwd
         )

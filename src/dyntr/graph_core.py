@@ -20,6 +20,14 @@ chasing.  Edge ids are never reused; a dead edge keeps its ``nxt``/``prv``
 values so that an engine holding a stale cursor can still step forward to
 the surviving part of the list (dead entries are skipped by checking
 ``e_live``).
+
+Engines walk the lists through two *orientations*, built once per graph:
+``fwd = (out_first, out_nxt, e_head, e_tail)`` and ``bwd = (in_first,
+in_nxt, e_tail, e_head)``.  An orientation ``(first, nxt, far, near)``
+names the lists to walk and, for an edge on the list of v, its endpoint
+away from v and at v.  The graph changes those lists only in place, so
+the tuples stay current.  ``has_detour`` is the one reach probe over
+the live out-lists.
 """
 
 from __future__ import annotations
@@ -74,6 +82,8 @@ class TimestampedGraph:
         "out_last",
         "in_first",
         "in_last",
+        "fwd",
+        "bwd",
     )
 
     def __init__(self, n: int, *, acyclic: bool = False) -> None:
@@ -99,6 +109,8 @@ class TimestampedGraph:
         self.out_last = [NIL] * (n + 1)
         self.in_first = [NIL] * (n + 1)
         self.in_last = [NIL] * (n + 1)
+        self.fwd = (self.out_first, self.out_nxt, self.e_head, self.e_tail)
+        self.bwd = (self.in_first, self.in_nxt, self.e_tail, self.e_head)
 
     # ---- queries ----
 
@@ -139,7 +151,8 @@ class TimestampedGraph:
         stamp = self.last_ts + 1
         for tail, head in batch:
             self._link(tail, head, stamp)
-        if self.acyclic and self._center_on_cycle(center):
+        # every cycle a centered batch closes in a DAG passes through the center
+        if self.acyclic and has_detour(self, center, center):
             for tail, head in batch:
                 self._unlink(self.eid[(tail, head)])
             del self.e_tail[-len(batch):], self.e_head[-len(batch):]
@@ -223,24 +236,28 @@ class TimestampedGraph:
         del self.eid[(tail, head)]
         self.m -= 1
 
-    def _center_on_cycle(self, center: int) -> bool:
-        """True iff some directed cycle passes through ``center``.
 
-        Every cycle created by a centered insertion into a DAG must pass
-        through the center, so one forward search suffices.
-        """
-        e_head, out_nxt = self.e_head, self.out_nxt
-        seen = bytearray(self.n + 1)
-        stack = [center]
-        while stack:
-            v = stack.pop()
-            e = self.out_first[v]
-            while e != NIL:
-                w = e_head[e]
-                if w == center:
+def has_detour(g: TimestampedGraph, x: int, y: int) -> bool:
+    """True iff ``y`` is reachable from ``x`` without the edge (x, y).
+
+    Walks the graph's own out-lists, which hold live edges only, and
+    skips the queried edge by its id.  With ``x == y`` there is no such
+    edge, so the probe asks whether a cycle passes through ``x``.
+    """
+    skip = g.eid.get((x, y), NIL)
+    e_head, out_first, out_nxt = g.e_head, g.out_first, g.out_nxt
+    seen = bytearray(g.n + 1)
+    seen[x] = 1
+    stack = [x]
+    while stack:
+        e = out_first[stack.pop()]
+        while e != NIL:
+            w = e_head[e]
+            if w == y:
+                if e != skip:
                     return True
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-                e = out_nxt[e]
-        return False
+            elif not seen[w]:
+                seen[w] = 1
+                stack.append(w)
+            e = out_nxt[e]
+    return False

@@ -35,9 +35,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graph_core import NIL, Edge, TimestampedGraph
+from .graph_core import NIL, Edge, TimestampedGraph, has_detour
 
 
 def _strong_components(n: int, edges: Iterable[Edge]) -> list[int]:
@@ -87,13 +87,11 @@ def condensation(g: TimestampedGraph) -> list[int]:
 
 
 def _search(g: TimestampedGraph, root: int, walk: tuple) -> tuple[bytearray, array]:
-    """Vertices ``root`` reaches in its snapshot along ``walk``.
+    """Vertices ``root`` reaches in its snapshot along the orientation ``walk``.
 
-    An orientation ``(first, nxt, far, near)`` names the adjacency lists
-    to walk and, for an edge on the list of v, its endpoint away from v
-    and at v.  The lists are cut at the snapshot limit and walked breadth
-    first.  Returns the reached flags and, per vertex, the edge that
-    first reached it (``NIL`` for the root and unreached vertices).
+    The lists are cut at the snapshot limit and walked breadth first.
+    Returns the reached flags and, per vertex, the edge that first
+    reached it (``NIL`` for the root and unreached vertices).
     """
     first, nxt, far, _ = walk
     limit, e_ts = g.center_ts[root], g.e_ts
@@ -166,29 +164,21 @@ def _reparent(
     return reached, par
 
 
-def has_detour(g: TimestampedGraph, x: int, y: int) -> bool:
-    """True iff ``y`` is reachable from ``x`` without the edge (x, y).
-
-    Walks the graph's own out-lists, which hold live edges only, and
-    skips the queried edge by its id.
-    """
-    skip = g.eid.get((x, y), NIL)
-    e_head, out_first, out_nxt = g.e_head, g.out_first, g.out_nxt
-    seen = bytearray(g.n + 1)
-    seen[x] = 1
-    stack = [x]
-    while stack:
-        e = out_first[stack.pop()]
-        while e != NIL:
-            if e != skip:
-                w = e_head[e]
-                if w == y:
-                    return True
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append(w)
-            e = out_nxt[e]
-    return False
+def split_edges(
+    g: TimestampedGraph, comp: Sequence[int]
+) -> tuple[dict[int, list[Edge]], dict[tuple[int, int], list[Edge]]]:
+    """The live edges inside each component, and the group of each ordered
+    pair of components, every list in ``(timestamp, edge)`` order."""
+    intra: dict[int, list[Edge]] = {}
+    inter: dict[tuple[int, int], list[Edge]] = {}
+    e_ts = g.e_ts
+    for _, t, h in sorted((e_ts[e], t, h) for (t, h), e in g.eid.items()):
+        ct, ch = comp[t], comp[h]
+        if ct == ch:
+            intra.setdefault(ct, []).append((t, h))
+        else:
+            inter.setdefault((ct, ch), []).append((t, h))
+    return intra, inter
 
 
 @dataclass(frozen=True)
@@ -257,9 +247,6 @@ class SccSnapshots:
 
     def __init__(self, g: TimestampedGraph) -> None:
         self.g = g
-        # the graph mutates its lists in place, so these stay current
-        self.fwd = (g.out_first, g.out_nxt, g.e_head, g.e_tail)
-        self.bwd = (g.in_first, g.in_nxt, g.e_tail, g.e_head)
         self.views: dict[int, _RootView] = {}
         self.comp_cur: list[int] = list(range(g.n + 1))
         self.groups: dict[tuple[int, int], ParallelGroup] = {}
@@ -279,8 +266,8 @@ class SccSnapshots:
         given as ``None`` is searched.
         """
         g = self.g
-        desc, out_par = out_side or _search(g, root, self.fwd)
-        anc, in_par = in_side or _search(g, root, self.bwd)
+        desc, out_par = out_side or _search(g, root, g.fwd)
+        anc, in_par = in_side or _search(g, root, g.bwd)
         return _RootView(g, root, desc, out_par, anc, in_par)
 
     def rebuild(self, root: int) -> None:
@@ -318,8 +305,8 @@ class SccSnapshots:
             hit = [e for e in ids if e_ts[e] <= old.limit]
             if not hit:
                 continue
-            out_side = _reparent(g, root, (old.desc, old.out_par), hit, self.bwd)
-            in_side = _reparent(g, root, (old.anc, old.in_par), hit, self.fwd)
+            out_side = _reparent(g, root, (old.desc, old.out_par), hit, g.bwd)
+            in_side = _reparent(g, root, (old.anc, old.in_par), hit, g.fwd)
             if out_side and in_side:
                 views[root] = _RootView(g, root, *out_side, *in_side)
             else:
@@ -353,17 +340,9 @@ class SccSnapshots:
                 del groups[key]
 
     def refresh_groups(self) -> None:
-        g = self.g
-        comp = self.comp_cur = condensation(g)
-        buckets: dict[tuple[int, int], list[tuple[int, Edge]]] = {}
-        for (t, h), e in g.eid.items():
-            cx, cy = comp[t], comp[h]
-            if cx != cy:
-                buckets.setdefault((cx, cy), []).append((g.e_ts[e], (t, h)))
-        self.groups = {}
-        for key, tagged in buckets.items():
-            tagged.sort(key=lambda item: (item[0], item[1]))
-            self.groups[key] = ParallelGroup(tuple(e for _, e in tagged))
+        comp = self.comp_cur = condensation(self.g)
+        _, inter = split_edges(self.g, comp)
+        self.groups = {key: ParallelGroup(tuple(m)) for key, m in inter.items()}
 
     # ---- queries ----
 

@@ -9,7 +9,9 @@ assembles both parts for ``TrGeneral`` and ``AlgebraicGeneral`` alike
 (each engine supplies the test deciding whether a parallel group keeps
 its representative), and the combinatorial engine, whose
 ``is_redundant`` answers for an edge inside one component with the
-``has_detour`` path probe of ``scc_snapshots``.
+``has_detour`` path probe of ``graph_core``.  ``general_reduction``
+splits the live edges by component with ``split_edges`` of
+``scc_snapshots``, the split that also builds the parallel-group table.
 """
 
 from __future__ import annotations
@@ -17,33 +19,21 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import BadUpdate, MissingEdge, NotStronglyConnected
-from .graph_core import Edge, TimestampedGraph
-from .scc_snapshots import SccSnapshots, has_detour
+from .graph_core import Edge, TimestampedGraph, has_detour
+from .scc_snapshots import SccSnapshots, split_edges
 
 
-def _covers_strongly(vertices: Sequence[int], edges: Iterable[Edge]) -> bool:
-    """True iff the edge set strongly connects all the given vertices."""
-    verts = list(vertices)
-    if len(verts) <= 1:
-        return True
-    out: dict[int, list[int]] = {v: [] for v in verts}
-    rev: dict[int, list[int]] = {v: [] for v in verts}
-    for t, h in edges:
-        out[t].append(h)
-        rev[h].append(t)
-    start = verts[0]
-    for adj in (out, rev):
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != len(verts):
-            return False
-    return True
+def _reached(adj: dict[int, set[int]], src: int, stop: int | None = None) -> set[int]:
+    """Vertices ``src`` reaches over ``adj``, the search ending once it
+    reaches ``stop``."""
+    seen = {src}
+    stack = [src]
+    while stack and stop not in seen:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def minimal_scss(
@@ -66,24 +56,21 @@ def minimal_scss(
     verts = list(scc_vertices)
     edges = list(scc_edges)
     heads: dict[int, set[int]] = {v: set() for v in verts}
+    tails: dict[int, set[int]] = {v: set() for v in verts}
     for t, h in edges:
         if t not in heads or h not in heads:
             raise BadUpdate(f"edge ({t}, {h}) leaves the given vertices")
         heads[t].add(h)
-    if not _covers_strongly(verts, edges):
+        tails[h].add(t)
+    if len(verts) > 1 and any(
+        len(_reached(adj, verts[0])) != len(verts) for adj in (heads, tails)
+    ):
         raise NotStronglyConnected(f"{len(verts)} vertices not strongly connected")
     for u, v in edges:
         if v not in heads[u]:
             continue
         heads[u].discard(v)
-        seen = {u}
-        stack = [u]
-        while stack and v not in seen:
-            for w in heads[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if v not in seen:
+        if v not in _reached(heads, u, v):
             heads[u].add(v)
     return {(t, h) for t, hs in heads.items() for h in hs}
 
@@ -103,21 +90,12 @@ def general_reduction(
     members: dict[int, list[int]] = {}
     for v in range(1, g.n + 1):
         members.setdefault(comp[v], []).append(v)
-    intra: dict[int, list[tuple[int, Edge]]] = {}
-    groups: dict[tuple[int, int], list[tuple[int, Edge]]] = {}
-    for (t, h), e in g.eid.items():
-        ct, ch = comp[t], comp[h]
-        if ct == ch:
-            intra.setdefault(ct, []).append((g.e_ts[e], (t, h)))
-        else:
-            groups.setdefault((ct, ch), []).append((g.e_ts[e], (t, h)))
+    intra, groups = split_edges(g, comp)
     result: list[Edge] = []
     for cid, verts in members.items():
         if len(verts) > 1:
-            tagged = sorted(intra.get(cid, []))
-            result.extend(minimal_scss(verts, [e for _, e in tagged]))
-    for (cf, ct), tagged in groups.items():
-        edges = [e for _, e in sorted(tagged)]
+            result.extend(minimal_scss(verts, intra.get(cid, [])))
+    for (cf, ct), edges in groups.items():
         if keep_group(edges, cf, ct):
             result.append(edges[0])
     return sorted(result)
@@ -131,7 +109,7 @@ class TrGeneral:
     the witness roots range over all centered vertices sharing the
     relevant endpoint component.  The ledgers are re-aggregated from the
     per-root snapshot views after every update, over the inter-component
-    edges only, collected once per update: one sweep per view counts the
+    edges only, read off the group table: one sweep per view counts the
     edges it covers and marks which (root component, target component)
     pairs have an in- or out-witness, then each inter-component edge
     reads its two witness bits off those tables.  The reduction is the
@@ -159,14 +137,13 @@ class TrGeneral:
         self._reaggregate()
 
     def _reaggregate(self) -> None:
-        g = self.g
         comp = self.scc.comp_cur
-        e_ts = g.e_ts
-        inter: list[tuple[int, int, int, int, int]] = []
-        for (t, h), e in g.eid.items():
-            ct, ch = comp[t], comp[h]
-            if ct != ch:
-                inter.append((t, h, e_ts[e], ct, ch))
+        e_ts, eid = self.g.e_ts, self.g.eid
+        inter = [
+            (t, h, e_ts[eid[(t, h)]], ct, ch)
+            for (ct, ch), group in self.scc.groups.items()
+            for t, h in group.members
+        ]
         counts = [0] * len(inter)
         met_in: set[tuple[int, int]] = set()
         met_out: set[tuple[int, int]] = set()

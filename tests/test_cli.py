@@ -109,6 +109,23 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_stream("dtr v1 n=3 mode=dag\ndtr v1 n=3 mode=dag\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dtr v1 n=3 mode=dag\nins 1 1 \u00b2\n",
+            "dtr v1 n=\u00b2 mode=dag\n",
+            "dtr v1 n=3 mode=dag\nins 1 1 \u0662\n",
+        ],
+        ids=["superscript-vertex", "superscript-header", "arabic-indic-vertex"],
+    )
+    def test_non_ascii_digits_rejected(self, text, tmp_path, capsys):
+        with pytest.raises(ParseError):
+            parse_stream(text)
+        path = tmp_path / "s.txt"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 1
+        assert "parse error" in capsys.readouterr().err
+
 
 @st.composite
 def stream_objects(draw):
@@ -255,6 +272,12 @@ class TestMain:
     def test_parse_error_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("dtr v1 n=3 mode=dag\nfoo\n", encoding="utf-8")
+        assert cli.main(["run", str(path)]) == 1
+        assert "parse error" in capsys.readouterr().err
+
+    def test_file_not_utf8_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff")
         assert cli.main(["run", str(path)]) == 1
         assert "parse error" in capsys.readouterr().err
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from dyntr.errors import (
     NotIncident,
 )
 from dyntr.graph_core import NIL, DeleteSet, InsertCentered, TimestampedGraph
+from dyntr.tr_dag import TrDag
+from dyntr.tr_general import TrGeneral
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -170,3 +174,33 @@ def test_adjacency_stays_ts_sorted(n, seed):
             assert sorted(walked) == sorted(live)
             stamps = [g.e_ts[e] for e in walked]
             assert stamps == sorted(stamps)
+
+
+def _apply(eng, upd) -> None:
+    if isinstance(upd, InsertCentered):
+        eng.insert_centered(upd.center, upd.edges)
+    else:
+        eng.delete_edges(upd.edges)
+
+
+@pytest.mark.parametrize("cls,mode", [(TrDag, "dag"), (TrGeneral, "general")])
+def test_orientations_survive_a_pickle_round_trip(cls, mode):
+    # the benchmark restores every set-up engine from a pickle; the copy's
+    # orientations must hold the copy's own lists, which the graph
+    # changes in place
+    n = 9
+    updates = oracle.random_update_stream(n, 80, mode, 0.45, seed=3)
+    eng = cls(n)
+    for upd in updates[:40]:
+        _apply(eng, upd)
+    copy = pickle.loads(pickle.dumps(eng))
+    g = copy.g
+    fwd = (g.out_first, g.out_nxt, g.e_head, g.e_tail)
+    bwd = (g.in_first, g.in_nxt, g.e_tail, g.e_head)
+    assert all(a is b for a, b in zip(g.fwd + g.bwd, fwd + bwd))
+    for upd in updates[40:]:
+        _apply(eng, upd)
+        _apply(copy, upd)
+        assert copy.tr_edges() == eng.tr_edges()
+        assert copy.ledgers() == eng.ledgers()
+        assert getattr(copy, "op_counter", None) == getattr(eng, "op_counter", None)

@@ -44,10 +44,22 @@ class TestMinimalScss:
     def test_single_vertex(self):
         assert minimal_scss([4], []) == set()
         assert minimal_scss([4], [(4, 4)]) == set()
+        assert minimal_scss([], []) == set()
 
-    def test_disconnected_input_rejected(self):
+    @pytest.mark.parametrize(
+        "verts,edges",
+        [
+            ([1, 2], [(1, 2)]),
+            ([10, 20, 30], [(10, 20), (20, 30)]),
+            ([1, 2, 3, 4], [(1, 2), (2, 1), (3, 4), (4, 3)]),
+            ([3, 1, 2], [(1, 2), (2, 1)]),
+        ],
+        ids=["one-way-pair", "path-on-sparse-ids", "two-disjoint-two-cycles",
+             "vertex-without-edges"],
+    )
+    def test_disconnected_input_rejected(self, verts, edges):
         with pytest.raises(NotStronglyConnected):
-            minimal_scss([1, 2], [(1, 2)])
+            minimal_scss(verts, edges)
 
     def test_probe_order_decides_survivors(self):
         # the direct two-cycle is probed first and dropped; the four-cycle
