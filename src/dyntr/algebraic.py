@@ -21,8 +21,9 @@ rank-1 corrections in O(size^2) arithmetic per edge change:
   vanishing error.
 
 The modulus is the Mersenne prime 2^61 - 1, so 64-bit vectorized
-reduction only needs shifts and masks; products are split 31/30 bits to
-stay below 2^64.
+reduction only needs shifts and masks.  A product of two residues, split
+31/30 bits, sums to less than 2^63, so one fold and one conditional
+subtraction reduce it.
 """
 
 from __future__ import annotations
@@ -50,37 +51,42 @@ _S61 = np.uint64(61)
 _ONE = np.uint64(1)
 
 # size x size uint64 arrays alive at the peak: m and minv held, plus the
-# temporaries of matrix_inverse (about 11 in all) or rank1_update (about 9)
+# temporaries of matrix_inverse (about 9 in all) or rank1_update (about 6);
+# 12 is above both
 _PEAK_MATRICES = 12
 
 
-def _modfold(x: np.ndarray) -> np.ndarray:
-    # valid for any uint64 input below 2^64
+def _reduce(x: np.ndarray) -> np.ndarray:
+    # one fold takes any uint64 to at most p + 7; one subtraction ends it
     x = (x >> _S61) + (x & _P)
-    x = (x >> _S61) + (x & _P)
-    return np.where(x >= _P, x - _P, x)
+    return np.minimum(x, x - _P)
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise a*b mod 2^61-1 without leaving uint64 range."""
+    """Elementwise a*b mod 2^61-1 without leaving uint64 range.
+
+    Inputs must be below 2^61: the four partial products of the 31/30-bit
+    split then sum to less than 2^63, so one ``_reduce`` finishes them.
+    """
     a1 = a >> _S31
     a0 = a & _MASK31
     b1 = b >> _S31
     b0 = b & _MASK31
     mid = a1 * b0 + a0 * b1
     # 2^62 == 2 and mid * 2^31 == (mid >> 30) + (mid & mask30) * 2^31
-    total = ((a1 * b1) << _ONE) + (mid >> _S30) + ((mid & _MASK30) << _S31)
-    return _modfold(_modfold(total) + _modfold(a0 * b0))
+    return _reduce(
+        ((a1 * b1) << _ONE) + (mid >> _S30) + ((mid & _MASK30) << _S31) + a0 * b0
+    )
 
 
 def _submod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = a + (_P - b)
-    return np.where(x >= _P, x - _P, x)
+    return np.minimum(x, x - _P)
 
 
 def _addmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     x = a + b
-    return np.where(x >= _P, x - _P, x)
+    return np.minimum(x, x - _P)
 
 
 def _fold_axis0(x: np.ndarray) -> np.ndarray:
@@ -102,9 +108,9 @@ def _identity(size: int) -> np.ndarray:
 
 
 def matrix_inverse(mat: np.ndarray) -> np.ndarray:
-    """Gauss-Jordan inverse mod 2^61-1; raises SingularMatrix."""
+    """Gauss-Jordan inverse mod 2^61-1 of any uint64 matrix; raises SingularMatrix."""
     size = mat.shape[0]
-    a = mat.astype(np.uint64).copy()
+    a = mat.astype(np.uint64) % _P
     inv = _identity(size)
     for col in range(size):
         piv = col

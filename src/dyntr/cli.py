@@ -335,13 +335,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             if args.stream == "-":
-                text = sys.stdin.read()
+                data = sys.stdin.buffer.read()
             else:
-                # bytes that are not UTF-8 become lone surrogates, which no
-                # token accepts, so they end in a ParseError as on stdin
-                text = Path(args.stream).read_text(
-                    encoding="utf-8", errors="surrogateescape"
-                )
+                data = Path(args.stream).read_bytes()
+            # bytes that are not UTF-8 become lone surrogates, which no
+            # token accepts, so they end in a ParseError
+            text = data.decode("utf-8", errors="surrogateescape")
             sys.stdout.write(
                 run_stream(
                     text,

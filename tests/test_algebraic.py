@@ -13,8 +13,10 @@ from dyntr.algebraic import (
     AlgebraicDag,
     AlgebraicGeneral,
     InverseState,
+    _addmod,
     _fold_axis0,
     _mulmod,
+    _submod,
     matrix_inverse,
 )
 from dyntr.errors import (
@@ -32,6 +34,9 @@ PROPERTY_SETTINGS = settings(
 )
 
 P = FIELD_PRIME
+
+# residues at the edges of the 31/30-bit split and of the final subtraction
+CORNERS = [0, 1, 1 << 31, P - 2, P - 1]
 
 
 def replay_both(stream, left, right):
@@ -55,6 +60,24 @@ class TestFieldArithmetic:
         got = _mulmod(a, b)
         want = [(int(x) * int(y)) % P for x, y in zip(a, b)]
         assert [int(v) for v in got] == want
+
+    def test_sum_and_difference_corners(self):
+        a = np.array([x for x in CORNERS for _ in CORNERS], dtype=np.uint64)
+        b = np.array(CORNERS * len(CORNERS), dtype=np.uint64)
+        pairs = [(int(x), int(y)) for x, y in zip(a, b)]
+        added = [int(v) for v in _addmod(a, b)]
+        subbed = [int(v) for v in _submod(a, b)]
+        assert added == [(x + y) % P for x, y in pairs]
+        assert subbed == [(x - y) % P for x, y in pairs]
+        assert P not in added and P not in subbed
+
+    def test_outer_product_corners(self):
+        # the broadcast shape of InverseState.rank1_update
+        col = np.array(CORNERS, dtype=np.uint64)
+        row = np.array(CORNERS[::-1] + [(1 << 31) - 1], dtype=np.uint64)
+        got = _mulmod(col[:, None], row[None, :])
+        assert got.shape == (len(col), len(row))
+        assert got.tolist() == [[y * x % P for x in row.tolist()] for y in col.tolist()]
 
     def test_fold_matches_plain_sum(self):
         rng = random.Random(5)
@@ -101,6 +124,14 @@ class TestMatrixInverse:
         inv = matrix_inverse(m)
         assert inv.tolist() == [[1, 1], [0, 1]]
 
+    def test_entries_past_the_prime_are_reduced_on_entry(self):
+        big = [[P + 1, 3], [(1 << 63) + 5, (1 << 64) - 1]]
+        residues = [[x % P for x in row] for row in big]
+        assert np.array_equal(
+            matrix_inverse(np.array(big, dtype=np.uint64)),
+            matrix_inverse(np.array(residues, dtype=np.uint64)),
+        )
+
 
 class TestInverseState:
     def test_single_entry_perturbation(self):
@@ -142,6 +173,29 @@ class TestInverseState:
                 continue
             applied += 1
             assert np.array_equal(st_.minv, matrix_inverse(st_.m))
+
+    def test_rank1_matches_bignum_sherman_morrison(self):
+        rng = random.Random(41)
+        n = 5
+        st_ = InverseState(n)
+        ref = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(200):
+            i, j, delta = rng.randrange(n), rng.randrange(n), rng.randrange(P)
+            denom = (1 + delta * ref[j][i]) % P
+            if denom == 0:
+                with pytest.raises(DenominatorZero):
+                    st_.rank1_update(i, j, delta)
+                continue
+            st_.rank1_update(i, j, delta)
+            # Minv - delta * (Minv e_i)(e_j^T Minv) / (1 + delta * Minv[j, i])
+            factor = delta * pow(denom, P - 2, P) % P
+            col = [ref[r][i] for r in range(n)]
+            row = list(ref[j])
+            ref = [
+                [(ref[r][c] - factor * col[r] * row[c]) % P for c in range(n)]
+                for r in range(n)
+            ]
+            assert st_.minv.tolist() == ref
 
     def test_probes_and_full_product(self):
         rng = random.Random(33)

@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -265,7 +269,8 @@ class TestMain:
         assert capsys.readouterr().out == "tr m=2\n1 3\n3 2\nred 1 2 1\n"
 
     def test_run_from_stdin(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO("dtr v1 n=2 mode=dag\ntr\n"))
+        stdin = io.TextIOWrapper(io.BytesIO(b"dtr v1 n=2 mode=dag\ntr\n"))
+        monkeypatch.setattr("sys.stdin", stdin)
         assert cli.main(["run"]) == 0
         assert capsys.readouterr().out == "tr m=0\n"
 
@@ -280,6 +285,17 @@ class TestMain:
         path.write_bytes(b"\xff")
         assert cli.main(["run", str(path)]) == 1
         assert "parse error" in capsys.readouterr().err
+
+    def test_stdin_not_utf8_is_a_parse_error(self):
+        # a strict stdin decoder must not see the bytes before the parser
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONIOENCODING="utf-8:strict", PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dyntr.cli", "run", "-"],
+            input=b"\xff", capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.decode().startswith("parse error:")
 
     def test_engine_error_exits_two(self, tmp_path, capsys):
         path = tmp_path / "cyc.txt"
