@@ -1,14 +1,16 @@
 """Randomized algebraic redundancy engines over a fixed prime field.
 
-Both engines maintain the explicit inverse of a matrix whose entries are
-uniformly random residues, one fresh variable per live edge, updated by
-rank-1 corrections in O(size^2) arithmetic per edge change:
+Both engines maintain a matrix M of uniformly random residues, one fresh
+variable per live edge, and its explicit inverse, updated by rank-1
+corrections in O(size^2) arithmetic per edge change.  M holds every value:
+its nonzero entries are the diagonal and the entries of the live edges.
 
 * DAG mode inverts ``I - A`` over a three-layer expansion of the graph
-  (plain, once-shifted, twice-shifted copies of every vertex).  An entry
-  linking a tail to the twice-shifted head is a sum over detours of
-  length at least two, so the edge is redundant exactly when that entry
-  is nonzero, up to a vanishing false-zero probability.
+  (plain, once-shifted, twice-shifted copies of every vertex; three
+  entries per edge).  An entry linking a tail to the twice-shifted head
+  is a sum over detours of length at least two, so the edge is redundant
+  exactly when that entry is nonzero, up to a vanishing false-zero
+  probability.
 * General mode inverts the random adjacency matrix M itself, kept
   invertible by a random self-loop on every vertex; self-loops never
   appear in any reported output.  ``is_redundant`` reads one edge off
@@ -50,10 +52,10 @@ _S30 = np.uint64(30)
 _S61 = np.uint64(61)
 _ONE = np.uint64(1)
 
-# size x size uint64 arrays alive at the peak: m and minv held, plus the
-# temporaries of matrix_inverse (about 9 in all) or rank1_update (about 6);
-# 12 is above both
-_PEAK_MATRICES = 12
+# size x size uint64 arrays alive at the peak, m and minv included, by
+# tracemalloc at size 200: 6.0 in rank1_update, 8.1 in a _rebuild that
+# inverts at once, 9.1 in one that resamples a copy of M first
+_PEAK_MATRICES = 10
 
 
 def _reduce(x: np.ndarray) -> np.ndarray:
@@ -167,6 +169,10 @@ class InverseState:
         self.minv = _submod(self.minv, _mulmod(col[:, None], self.minv[j][None, :]))
         self.generation += 1
 
+    def assign(self, i: int, j: int, value: int) -> None:
+        """Set entry (i, j) of M to value, correcting the inverse in O(size^2)."""
+        self.rank1_update(i, j, value - int(self.m[i, j]))
+
     def entry(self, i: int, j: int) -> int:
         return int(self.minv[i, j])
 
@@ -201,7 +207,6 @@ class AlgebraicDag:
         self.state = InverseState(3 * n)
         self.g = TimestampedGraph(n, acyclic=True)
         self._rng = random.Random(seed)
-        self._vars: dict[Edge, tuple[int, int, int]] = {}
 
     def _layered(self, u: int, v: int) -> tuple[Edge, Edge, Edge]:
         n = self.n
@@ -211,22 +216,16 @@ class AlgebraicDag:
         batch = list(new_edges)
         self.g.apply_insert_centered(center, batch)
         for edge in sorted(set(batch)):
-            xs = (
-                self._rng.randrange(1, FIELD_PRIME),
-                self._rng.randrange(1, FIELD_PRIME),
-                self._rng.randrange(1, FIELD_PRIME),
-            )
-            self._vars[edge] = xs
-            for (a, b), x in zip(self._layered(*edge), xs):
-                self.state.rank1_update(a - 1, b - 1, FIELD_PRIME - x)
+            for a, b in self._layered(*edge):
+                x = self._rng.randrange(1, FIELD_PRIME)
+                self.state.assign(a - 1, b - 1, FIELD_PRIME - x)
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
         batch = list(removed)
         self.g.apply_delete(batch)
         for edge in batch:
-            xs = self._vars.pop(edge)
-            for (a, b), x in zip(self._layered(*edge), xs):
-                self.state.rank1_update(a - 1, b - 1, x)
+            for a, b in self._layered(*edge):
+                self.state.assign(a - 1, b - 1, 0)
 
     def is_redundant(self, x: int, y: int) -> bool:
         if (x, y) not in self.g.eid:
@@ -245,36 +244,29 @@ class AlgebraicGeneral:
         self.state = InverseState(n)
         self.g = TimestampedGraph(n)
         self._rng = random.Random(seed)
-        self._vars: dict[Edge, int] = {}
-        self._loops = [0] * (n + 1)
-        for v in range(1, n + 1):
-            x = self._rng.randrange(1, FIELD_PRIME)
-            self._loops[v] = x
-            # identity diagonal becomes the random self-loop value
-            self.state.rank1_update(v - 1, v - 1, x - 1)
+        for v in range(n):
+            # the identity diagonal becomes a random self-loop
+            self.state.assign(v, v, self._rng.randrange(1, FIELD_PRIME))
 
     # ---- rebuild paths ----
 
     def _rebuild(self) -> None:
-        """Invert the matrix afresh, resampling every value while singular.
+        """Invert M afresh, resampling its nonzero entries while it is singular.
 
-        The loop and edge values and the matrix pair are committed together,
-        only once an inversion succeeds.
+        Only a copy of M is resampled, so M and its inverse are committed
+        together, once an inversion succeeds.
         """
-        loops, xs, rng = self._loops, self._vars, self._rng
+        m = self.state.m
         while True:
-            m = np.zeros((self.n, self.n), dtype=np.uint64)
-            for v in range(1, self.n + 1):
-                m[v - 1, v - 1] = np.uint64(loops[v])
-            for (u, v), x in xs.items():
-                m[u - 1, v - 1] = np.uint64(x)
             try:
                 minv = matrix_inverse(m)
                 break
             except SingularMatrix:
-                loops = [0] + [rng.randrange(1, FIELD_PRIME) for _ in range(self.n)]
-                xs = {edge: rng.randrange(1, FIELD_PRIME) for edge in xs}
-        self._loops, self._vars = loops, xs
+                m = m.copy()
+                # row by row, so the draws never take more than a row of memory
+                for row in m:
+                    nz = np.flatnonzero(row)
+                    row[nz] = [self._rng.randrange(1, FIELD_PRIME) for _ in nz]
         self.state.m, self.state.minv = m, minv
         self.state.generation += 1
 
@@ -283,31 +275,21 @@ class AlgebraicGeneral:
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
         batch = list(new_edges)
         self.g.apply_insert_centered(center, batch)
-        for edge in sorted(set(batch)):
-            u, v = edge
-            placed = False
-            for _ in range(3):
-                x = self._rng.randrange(1, FIELD_PRIME)
-                try:
-                    self.state.rank1_update(u - 1, v - 1, x)
-                except DenominatorZero:
-                    continue
-                self._vars[edge] = x
-                placed = True
-                break
-            if not placed:
-                self._vars[edge] = self._rng.randrange(1, FIELD_PRIME)
+        for u, v in sorted(set(batch)):
+            try:
+                self.state.assign(u - 1, v - 1, self._rng.randrange(1, FIELD_PRIME))
+            except DenominatorZero:
+                self.state.m[u - 1, v - 1] = self._rng.randrange(1, FIELD_PRIME)
                 self._rebuild()
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
         batch = list(removed)
         self.g.apply_delete(batch)
-        for edge in batch:
-            u, v = edge
-            x = self._vars.pop(edge)
+        for u, v in batch:
             try:
-                self.state.rank1_update(u - 1, v - 1, FIELD_PRIME - x)
+                self.state.assign(u - 1, v - 1, 0)
             except DenominatorZero:
+                self.state.m[u - 1, v - 1] = 0
                 self._rebuild()
 
     # ---- redundancy ----
@@ -322,10 +304,10 @@ class AlgebraicGeneral:
         sum because entries from the head component back to the tail
         component are identically zero.
         """
-        minv = self.state.minv
+        m, minv = self.state.m, self.state.minv
         total = int(minv[r - 1, t - 1])
         for u, v in members:
-            x = self._vars[(u, v)]
+            x = int(m[u - 1, v - 1])
             term = x * int(minv[r - 1, u - 1]) % FIELD_PRIME
             term = term * int(minv[v - 1, t - 1]) % FIELD_PRIME
             total = (total + term) % FIELD_PRIME
@@ -352,9 +334,9 @@ class AlgebraicGeneral:
         """
         if (x, y) not in self.g.eid:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
-        a = self._vars[(x, y)]
-        minv = self.state.minv
         i, j = x - 1, y - 1
+        a = int(self.state.m[i, j])
+        minv = self.state.minv
         # det of M without the edge over det M; 0 when that is singular
         ratio = (1 - a * int(minv[j, i])) % FIELD_PRIME
         cofactor = int(minv[i, j]) * ratio + a * int(minv[i, i]) * int(minv[j, j])

@@ -10,10 +10,11 @@ class DynTrError(Exception):
 class BadUpdate(DynTrError, ValueError):
     """An update names a vertex outside [1..n], a self-loop, or no edges.
 
-    Also raised by ``minimal_scss`` for an edge with an endpoint outside
-    the vertices it was given, and by a constructor given a vertex count
-    (or inverse size) below 1.  Also a ``ValueError``, which these inputs
-    raised before the class existed.
+    Also raised for a vertex that is not an int (``operator.index`` fails)
+    or an edge that is not a (tail, head) tuple, by ``minimal_scss`` for
+    an edge with an endpoint outside the vertices it was given, and by a
+    constructor given a vertex count (or inverse size) below 1.  Also a
+    ``ValueError``, which these inputs raised before the class existed.
     """
 
 

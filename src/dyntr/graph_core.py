@@ -32,6 +32,7 @@ the live out-lists.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -134,7 +135,8 @@ class TimestampedGraph:
         is advanced to it.  In acyclic mode a reachability probe rejects
         (and rolls back) a batch that would close a directed cycle.
         """
-        raw = list(new_edges)
+        center = _vertex(center)
+        raw = [_edge(edge) for edge in new_edges]
         batch = sorted(set(raw))
         if not batch:
             raise BadUpdate("empty insertion batch")
@@ -172,7 +174,8 @@ class TimestampedGraph:
         """
         ids = []
         seen = set()
-        for tail, head in edges:
+        for edge in edges:
+            tail, head = _edge(edge)
             e = self.eid.get((tail, head), NIL)
             if e == NIL:
                 raise MissingEdge(f"edge ({tail}, {head}) is not live")
@@ -235,6 +238,19 @@ class TimestampedGraph:
             self.in_prv[x] = p
         del self.eid[(tail, head)]
         self.m -= 1
+
+
+def _vertex(v: object) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise BadUpdate(f"a vertex is an int, got {v!r}") from None
+
+
+def _edge(edge: object) -> Edge:
+    if isinstance(edge, tuple) and len(edge) == 2:
+        return _vertex(edge[0]), _vertex(edge[1])
+    raise BadUpdate(f"an edge is a (tail, head) tuple, got {edge!r}")
 
 
 def has_detour(g: TimestampedGraph, x: int, y: int) -> bool:

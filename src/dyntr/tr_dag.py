@@ -59,9 +59,8 @@ class TrDag:
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
         g = self.g
         batch = list(new_edges)
-        old_state = self.states.get(center)
-        old_limit = g.center_ts[center]
         g.apply_insert_centered(center, batch)
+        old_state = self.states.get(center)
         count, tx, ty = self.count, self.tx, self.ty
         while len(count) < len(g.e_tail):
             count.append(0)
@@ -75,9 +74,9 @@ class TrDag:
         out_first, out_nxt = g.out_first, g.out_nxt
         desc_new, anc_new = st.desc, st.anc
         if old_state is not None:
-            desc_old, anc_old = old_state.desc, old_state.anc
+            desc_old, anc_old, old_limit = old_state.desc, old_state.anc, old_state.limit
         else:
-            desc_old = anc_old = None
+            desc_old, anc_old, old_limit = None, None, 0
         # the new snapshot holds every live edge, so no timestamp cut here
         touched: list[int] = []
         for x in compress(range(len(anc_new)), anc_new):

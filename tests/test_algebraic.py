@@ -1,6 +1,7 @@
 """Field arithmetic, maintained inverses, and the algebraic engines."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,27 @@ P = FIELD_PRIME
 
 # residues at the edges of the 31/30-bit split and of the final subtraction
 CORNERS = [0, 1, 1 << 31, P - 2, P - 1]
+
+
+def layered(n, u, v):
+    """The three positions of DAG edge (u, v) in the 3n x 3n matrix, 1-based."""
+    return [(u, v), (u, n + v), (n + u, 2 * n + v)]
+
+
+def assert_matrix_holds_live_edges(eng):
+    """M's nonzero entries are its diagonal and the live edges' positions,
+    and the maintained inverse is the inverse of M."""
+    m = eng.state.m
+    if isinstance(eng, AlgebraicDag):
+        edges = [p for e in eng.g.eid for p in layered(eng.n, *e)]
+        assert np.all(np.diag(m) == 1)
+    else:
+        edges = list(eng.g.eid)
+    want = {(i, i) for i in range(len(m))} | {(a - 1, b - 1) for a, b in edges}
+    assert len(want) == len(m) + len(edges)
+    rows, cols = np.nonzero(m)
+    assert set(zip(rows.tolist(), cols.tolist())) == want
+    assert np.array_equal(matrix_inverse(m), eng.state.minv)
 
 
 def replay_both(stream, left, right):
@@ -213,7 +235,11 @@ class TestInverseState:
 
 class TestReductionGraph:
     def test_three_layer_translation(self):
-        assert AlgebraicDag(3)._layered(1, 2) == ((1, 2), (1, 5), (4, 8))
+        eng = AlgebraicDag(3)
+        eng.insert_centered(1, [(1, 2)])
+        rows, cols = np.nonzero(eng.state.m - np.eye(9, dtype=np.uint64))
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [(0, 1), (0, 4), (3, 7)]
+        assert_matrix_holds_live_edges(eng)
 
     def test_diamond_detour_is_visible(self):
         eng = AlgebraicDag(3, seed=4)
@@ -248,10 +274,14 @@ class TestDagEngine:
         eng = AlgebraicDag(3, seed=0)
         eng.insert_centered(1, [(1, 2), (1, 3)])
         eng.insert_centered(3, [(3, 2)])
-        first = eng._vars[(1, 2)]
+        spots = [(a - 1, b - 1) for a, b in layered(3, 1, 2)]
+        first = [int(eng.state.m[spot]) for spot in spots]
         eng.delete_edges([(1, 2)])
+        assert all(eng.state.m[spot] == 0 for spot in spots)
         eng.insert_centered(1, [(1, 2)])
-        assert eng._vars[(1, 2)] != first
+        again = [int(eng.state.m[spot]) for spot in spots]
+        assert all(again) and again != first
+        assert_matrix_holds_live_edges(eng)
         assert eng.is_redundant(1, 2)
 
     def test_missing_edge_rejected(self):
@@ -330,7 +360,7 @@ class TestGeneralEngine:
         for center, batch in [(1, [(1, 2), (2, 1)]), (3, [(2, 3), (3, 4)])]:
             eng.insert_centered(center, batch)
             ref.insert_centered(center, batch)
-        loops0, vars0 = list(eng._loops), dict(eng._vars)
+        m0 = eng.state.m.copy()
         calls = []
 
         def flaky_inverse(m):
@@ -342,15 +372,40 @@ class TestGeneralEngine:
         monkeypatch.setattr(algebraic, "matrix_inverse", flaky_inverse)
         eng._rebuild()
         assert len(calls) == failures + 1
-        assert eng._loops != loops0
-        assert set(eng._vars) == set(vars0) and eng._vars != vars0
-        expected = np.zeros((5, 5), dtype=np.uint64)
-        for v in range(1, 6):
-            expected[v - 1, v - 1] = eng._loops[v]
-        for (u, v), x in eng._vars.items():
-            expected[u - 1, v - 1] = x
-        assert np.array_equal(eng.state.m, expected)
+        # the failed tries left M as it was; the matrix inverted last is M now
+        assert np.array_equal(calls[0], m0)
+        assert eng.state.m is calls[-1]
+        resampled = eng.state.m
+        assert np.array_equal(resampled != 0, m0 != 0)
+        assert np.all(resampled[m0 != 0] != m0[m0 != 0])
+        assert_matrix_holds_live_edges(eng)
         assert eng.state.full_product_is_identity()
+        assert eng.tr_edges() == ref.tr_edges()
+
+    @pytest.mark.parametrize("zero_at", ["insert", "delete"])
+    def test_zero_denominator_writes_the_entry_and_rebuilds(self, monkeypatch, zero_at):
+        eng = AlgebraicGeneral(5, seed=8)
+        ref = TrGeneral(5)
+        for center, batch in [(1, [(1, 2), (2, 1)]), (3, [(2, 3), (3, 4)])]:
+            eng.insert_centered(center, batch)
+            ref.insert_centered(center, batch)
+        assign = InverseState.assign
+
+        def zero_once(state, i, j, value):
+            monkeypatch.setattr(InverseState, "assign", assign)
+            raise DenominatorZero("forced")
+
+        monkeypatch.setattr(InverseState, "assign", zero_once)
+        generation = eng.state.generation
+        if zero_at == "insert":
+            eng.insert_centered(4, [(4, 5)])
+            ref.insert_centered(4, [(4, 5)])
+        else:
+            eng.delete_edges([(2, 3)])
+            ref.delete_edges([(2, 3)])
+        assert InverseState.assign is assign
+        assert eng.state.generation == generation + 1
+        assert_matrix_holds_live_edges(eng)
         assert eng.tr_edges() == ref.tr_edges()
 
     def test_identity_holds_when_removal_leaves_matrix_singular(self):
@@ -360,10 +415,13 @@ class TestGeneralEngine:
         eng.insert_centered(1, [(1, 3)])
         # det of M without (1, 2) is 2*l1 + 13*11*6, zero for this l1
         l1 = -13 * 11 * 6 * pow(2, -1, P) % P
-        eng._loops = [0, l1, 2, 4]
-        eng._vars = {(1, 2): 7, (2, 1): 11, (2, 3): 1, (3, 2): 6, (1, 3): 13}
+        values = {(1, 1): l1, (2, 2): 2, (3, 3): 4,
+                  (1, 2): 7, (2, 1): 11, (2, 3): 1, (3, 2): 6, (1, 3): 13}
+        for (u, v), x in values.items():
+            eng.state.m[u - 1, v - 1] = x
         eng._rebuild()
-        assert eng._loops == [0, l1, 2, 4]
+        assert {e: int(eng.state.m[e[0] - 1, e[1] - 1]) for e in values} == values
+        assert_matrix_holds_live_edges(eng)
         assert (1 - 7 * eng.state.entry(1, 0)) % P == 0
         live = list(eng.g.eid)
         for edge in live:
@@ -391,19 +449,17 @@ class TestInitInverse:
         eng = AlgebraicDag(4, seed=11)
         eng.insert_centered(1, [(1, 2), (1, 3)])
         eng.insert_centered(3, [(3, 2), (3, 4)])
-        expected = np.zeros((12, 12), dtype=np.uint64)
-        np.fill_diagonal(expected, 1)
-        for edge, xs in eng._vars.items():
-            for (a, b), x in zip(eng._layered(*edge), xs):
-                expected[a - 1, b - 1] = P - x
-        assert np.array_equal(eng.state.m, expected)
-        assert np.array_equal(matrix_inverse(eng.state.m), eng.state.minv)
+        assert_matrix_holds_live_edges(eng)
+        eng.delete_edges([(1, 2), (3, 4)])
+        assert_matrix_holds_live_edges(eng)
 
     def test_general_mode_matches_incremental_engine(self):
         eng = AlgebraicGeneral(4, seed=5)
         eng.insert_centered(1, [(1, 2)])
         eng.insert_centered(2, [(2, 1), (2, 3)])
-        assert np.array_equal(matrix_inverse(eng.state.m), eng.state.minv)
+        assert_matrix_holds_live_edges(eng)
+        eng.delete_edges([(2, 1)])
+        assert_matrix_holds_live_edges(eng)
 
 
 class TestSizeGuard:
@@ -411,6 +467,38 @@ class TestSizeGuard:
         # 3n x 3n uint64 matrices at n = 10^6: 72 TB each
         with pytest.raises(TooLarge):
             AlgebraicDag(10**6)
+
+    def test_measured_peak_stays_under_the_guard(self, monkeypatch):
+        size = 200
+        rng = random.Random(3)
+        tries = []
+
+        def singular_once(m):
+            tries.append(m)
+            if len(tries) == 1:
+                raise SingularMatrix("forced")
+            return matrix_inverse(m)
+
+        tracemalloc.start()
+        try:
+            eng = AlgebraicGeneral(size, seed=1)
+            tracemalloc.reset_peak()
+            eng.state.assign(3, 5, 777)
+            peaks = [tracemalloc.get_traced_memory()[1]]
+            # a dense M: the resampling draws one value per nonzero entry
+            eng.state.m = np.array(
+                [[rng.randrange(1, P) for _ in range(size)] for _ in range(size)],
+                dtype=np.uint64,
+            )
+            for inverse in (matrix_inverse, singular_once):
+                monkeypatch.setattr(algebraic, "matrix_inverse", inverse)
+                tracemalloc.reset_peak()
+                eng._rebuild()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(tries) == 2
+        assert max(peaks) <= algebraic._PEAK_MATRICES * size * size * 8
 
 
 @st.composite
@@ -481,23 +569,29 @@ def test_general_engine_agrees_with_counting_engine(case):
             assert alg.is_redundant(*edge) == comb.is_redundant(*edge)
 
 
-@given(general_cases())
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_maintained_inverse_stays_faithful(case):
-    n, stream = case
-    eng = AlgebraicGeneral(n, seed=n + 1)
-    rng = random.Random(n)
+def replay_checking_matrix(eng, stream):
+    rng = random.Random(eng.n)
     for op in stream:
         if isinstance(op, InsertCentered):
             eng.insert_centered(op.center, op.edges)
         else:
             eng.delete_edges(op.edges)
         assert eng.state.probe_ok(rng, probes=3)
-        rebuilt = np.zeros((n, n), dtype=np.uint64)
-        for v in range(1, n + 1):
-            rebuilt[v - 1, v - 1] = eng._loops[v]
-        for (u, v), x in eng._vars.items():
-            rebuilt[u - 1, v - 1] = x
-        assert np.array_equal(eng.state.m, rebuilt)
+        assert_matrix_holds_live_edges(eng)
     assert eng.state.full_product_is_identity()
+
+
+@given(general_cases())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_maintained_inverse_stays_faithful(case):
+    n, stream = case
+    replay_checking_matrix(AlgebraicGeneral(n, seed=n + 1), stream)
+
+
+@given(dag_cases())
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_maintained_dag_inverse_stays_faithful(case):
+    n, stream = case
+    replay_checking_matrix(AlgebraicDag(n, seed=n + 1), stream)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from dyntr.errors import (
     ParseError,
     StreamCheckError,
 )
-from dyntr.graph_core import InsertCentered
+from dyntr.graph_core import DeleteSet, InsertCentered
 from dyntr.oracle import random_update_stream, validity_triple
 
 PROPERTY_SETTINGS = settings(
@@ -388,6 +389,70 @@ def test_repeated_edge_in_a_deletion_batch_changes_nothing(mode, engine):
     assert eng.is_redundant(1, 2) is True
     eng.delete_edges([(1, 3)])
     assert eng.tr_edges() == [(1, 2), (3, 2)]
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES)
+def test_center_past_n_is_a_bad_update(mode, engine):
+    eng = make_engine(mode, engine, 3, seed=5)
+    with pytest.raises(BadUpdate):
+        eng.insert_centered(4, [(4, 1)])
+    eng.insert_centered(1, [(1, 2)])
+    assert eng.tr_edges() == [(1, 2)]
+
+
+def apply(eng, upd):
+    if isinstance(upd, InsertCentered):
+        eng.insert_centered(upd.center, upd.edges)
+    else:
+        eng.delete_edges(upd.edges)
+
+
+def same_answers(eng, ref):
+    live = sorted(ref.g.eid)
+    assert eng.g.edge_list() == live
+    assert eng.tr_edges() == ref.tr_edges()
+    assert [eng.is_redundant(*e) for e in live] == [ref.is_redundant(*e) for e in live]
+
+
+def malformed_twins(upd, n):
+    """Updates that name the vertices of ``upd`` in a shape the graph rejects."""
+    t, h = upd.edges[0]
+    edges = [(float(t), h), (str(t), h), (t, h, h), t, [t, h]]
+    if isinstance(upd, DeleteSet):
+        return [DeleteSet((e,)) for e in edges]
+    return [InsertCentered(upd.center, (e,)) for e in edges] + [
+        InsertCentered(float(upd.center), upd.edges),
+        InsertCentered(n + 1, ((n + 1, 1),)),
+    ]
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES)
+def test_rejected_batches_leave_no_trace(mode, engine):
+    n = 7
+    eng, ref = (make_engine(mode, engine, n, seed=5) for _ in range(2))
+    for upd in random_update_stream(n, 30, mode, seed=9):
+        for bad in malformed_twins(upd, n):
+            with pytest.raises(BadUpdate):
+                apply(eng, bad)
+        apply(eng, upd)
+        apply(ref, upd)
+        same_answers(eng, ref)
+        if engine == "alg":
+            assert np.array_equal(eng.state.minv, ref.state.minv)
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES)
+def test_numpy_int_vertices_work_like_ints(mode, engine):
+    n = 7
+    eng, ref = (make_engine(mode, engine, n, seed=5) for _ in range(2))
+    for upd in random_update_stream(n, 30, mode, seed=9):
+        edges = tuple((np.int64(t), np.int64(h)) for t, h in upd.edges)
+        if isinstance(upd, InsertCentered):
+            eng.insert_centered(np.int64(upd.center), edges)
+        else:
+            eng.delete_edges(edges)
+        apply(ref, upd)
+        same_answers(eng, ref)
 
 
 @st.composite
