@@ -37,7 +37,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import BadUpdate, DenominatorZero, MissingEdge, SingularMatrix, TooLarge
-from .graph_core import Edge, TimestampedGraph
+from .graph_core import Edge, TimestampedGraph, _batch, _vertex
 from .scc_snapshots import condensation
 # minimal_scss stays bound here too: the benchmark's layer trace wraps it
 from .tr_general import general_reduction, minimal_scss  # noqa: F401
@@ -213,7 +213,7 @@ class AlgebraicDag:
         return ((u, v), (u, n + v), (n + u, 2 * n + v))
 
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
-        batch = list(new_edges)
+        batch = _batch(new_edges)
         self.g.apply_insert_centered(center, batch)
         for edge in sorted(set(batch)):
             for a, b in self._layered(*edge):
@@ -221,13 +221,15 @@ class AlgebraicDag:
                 self.state.assign(a - 1, b - 1, FIELD_PRIME - x)
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
-        batch = list(removed)
+        batch = _batch(removed)
         self.g.apply_delete(batch)
         for edge in batch:
             for a, b in self._layered(*edge):
                 self.state.assign(a - 1, b - 1, 0)
 
     def is_redundant(self, x: int, y: int) -> bool:
+        if type(x) is not int or type(y) is not int:
+            x, y = _vertex(x), _vertex(y)
         if (x, y) not in self.g.eid:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
         return self.state.entry(x - 1, 2 * self.n + y - 1) != 0
@@ -273,7 +275,7 @@ class AlgebraicGeneral:
     # ---- updates ----
 
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
-        batch = list(new_edges)
+        batch = _batch(new_edges)
         self.g.apply_insert_centered(center, batch)
         for u, v in sorted(set(batch)):
             try:
@@ -283,7 +285,7 @@ class AlgebraicGeneral:
                 self._rebuild()
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
-        batch = list(removed)
+        batch = _batch(removed)
         self.g.apply_delete(batch)
         for u, v in batch:
             try:
@@ -332,6 +334,8 @@ class AlgebraicGeneral:
         over det M from the entries below.  The cofactor is a polynomial,
         so the formula holds also when the change leaves M singular.
         """
+        if type(x) is not int or type(y) is not int:
+            x, y = _vertex(x), _vertex(y)
         if (x, y) not in self.g.eid:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
         i, j = x - 1, y - 1

@@ -10,8 +10,9 @@ class DynTrError(Exception):
 class BadUpdate(DynTrError, ValueError):
     """An update names a vertex outside [1..n], a self-loop, or no edges.
 
-    Also raised for a vertex that is not an int (``operator.index`` fails)
-    or an edge that is not a (tail, head) tuple, by ``minimal_scss`` for
+    Also raised for a vertex that is not an int (``operator.index`` fails),
+    in an update or in a query, for an edge that is not a (tail, head)
+    tuple or a batch that is not iterable, by ``minimal_scss`` for
     an edge with an endpoint outside the vertices it was given, and by a
     constructor given a vertex count (or inverse size) below 1.  Also a
     ``ValueError``, which these inputs raised before the class existed.

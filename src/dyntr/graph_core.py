@@ -136,7 +136,7 @@ class TimestampedGraph:
         (and rolls back) a batch that would close a directed cycle.
         """
         center = _vertex(center)
-        raw = [_edge(edge) for edge in new_edges]
+        raw = [_edge(edge) for edge in _batch(new_edges)]
         batch = sorted(set(raw))
         if not batch:
             raise BadUpdate("empty insertion batch")
@@ -174,7 +174,7 @@ class TimestampedGraph:
         """
         ids = []
         seen = set()
-        for edge in edges:
+        for edge in _batch(edges):
             tail, head = _edge(edge)
             e = self.eid.get((tail, head), NIL)
             if e == NIL:
@@ -241,10 +241,22 @@ class TimestampedGraph:
 
 
 def _vertex(v: object) -> int:
+    """``v`` as an int; ``BadUpdate`` unless ``operator.index`` takes it."""
+    if type(v) is int:
+        return v
     try:
         return operator.index(v)
     except TypeError:
         raise BadUpdate(f"a vertex is an int, got {v!r}") from None
+
+
+def _batch(edges: object) -> list:
+    """The items of an update batch; ``BadUpdate`` if it is not iterable."""
+    try:
+        items = iter(edges)
+    except TypeError:
+        raise BadUpdate(f"a batch is an iterable of edges, got {edges!r}") from None
+    return list(items)
 
 
 def _edge(edge: object) -> Edge:

@@ -25,10 +25,11 @@ A global table of parallel edge groups is kept alongside, on the current
 graph: all live edges joining the same ordered pair of components form
 one group, ordered by age, and the front member is the marked one.  The
 condensation behind it is recomputed only when an update can change it:
-an insertion whose new edge joins two different components, or a
-deletion of an edge inside a component whose tail no longer reaches its
-head.  Any other deletion only drops the removed edges from their
-groups.
+an insertion whose new edge joins two different components and lies on
+a cycle, or a deletion of an edge inside a component whose tail no
+longer reaches its head.  Any other insertion only appends its new
+edges between components to their groups, and any other deletion only
+drops the removed edges from their groups.
 """
 
 from __future__ import annotations
@@ -274,20 +275,33 @@ class SccSnapshots:
         """Search ``root``'s snapshot after an insertion centered at it.
 
         The new edges are the ones at the ends of the root's lists that
-        carry its stamp.  Only a new edge joining two components can merge
-        components or join a group, so only then is the table recomputed.
+        carry its stamp.  The snapshot is the whole current graph, so the
+        new view tells which of them lie on a cycle: (t, h), with t or h
+        the root, does iff the root reaches t and h reaches the root.
+        Only such an edge between two components merges components, and
+        only then is the table recomputed.  Any other new edge between
+        components joins the back of its group, or opens one.
         """
-        self.views[root] = self._build_view(root)
-        g, comp = self.g, self.comp_cur
+        view = self.views[root] = self._build_view(root)
+        g, comp, groups = self.g, self.comp_cur, self.groups
         e_ts, e_tail, e_head = g.e_ts, g.e_tail, g.e_head
         stamp = g.center_ts[root]
+        joined = []
         for last, prv in ((g.out_last, g.out_prv), (g.in_last, g.in_prv)):
             e = last[root]
             while e != NIL and e_ts[e] == stamp:
-                if comp[e_tail[e]] != comp[e_head[e]]:
-                    self.refresh_groups()
-                    return
+                t, h = e_tail[e], e_head[e]
+                if comp[t] != comp[h]:
+                    if view.desc[t] and view.anc[h]:
+                        self.refresh_groups()
+                        return
+                    joined.append((t, h))
                 e = prv[e]
+        # the batch shares one stamp, so (timestamp, edge) order is edge order
+        for t, h in sorted(joined):
+            key = (comp[t], comp[h])
+            group = groups.get(key)
+            groups[key] = ParallelGroup((group.members if group else ()) + ((t, h),))
 
     # ---- deletion ----
 

@@ -10,6 +10,10 @@ the reduction is exactly the edges where all three are zero:
   head has an in-neighbor that properly descends from the tail;
 * ``ty[e]``: the mirrored head-rooted witness.
 
+A flag per edge, 1 iff one of the three is nonzero, is refreshed
+wherever they change, so ``is_redundant`` and ``tr_edges`` read only the
+flag.
+
 A centered insertion refreshes only the center's reachability state.  An
 edge can gain a detour through the center only when its tail is a new
 ancestor and its head a new descendant of the center, so the counter
@@ -38,7 +42,7 @@ from itertools import compress
 
 from .dec_reach import DecReach
 from .errors import MissingEdge
-from .graph_core import NIL, Edge, TimestampedGraph
+from .graph_core import NIL, Edge, TimestampedGraph, _batch, _vertex
 
 
 class TrDag:
@@ -58,7 +62,7 @@ class TrDag:
 
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
         g = self.g
-        batch = list(new_edges)
+        batch = _batch(new_edges)
         g.apply_insert_centered(center, batch)
         old_state = self.states.get(center)
         count, tx, ty = self.count, self.tx, self.ty
@@ -128,7 +132,7 @@ class TrDag:
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
         g = self.g
-        batch = list(removed)
+        batch = _batch(removed)
         if not batch:
             return
         ids = g.apply_delete(batch)
@@ -214,18 +218,16 @@ class TrDag:
     # ---- queries ----
 
     def is_redundant(self, x: int, y: int) -> bool:
+        if type(x) is not int or type(y) is not int:
+            x, y = _vertex(x), _vertex(y)
         e = self.g.eid.get((x, y))
         if e is None:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
-        return bool(self.count[e] or self.tx[e] or self.ty[e])
+        return self._red[e] == 1
 
     def tr_edges(self) -> list[Edge]:
-        count, tx, ty = self.count, self.tx, self.ty
-        return sorted(
-            edge
-            for edge, e in self.g.eid.items()
-            if not (count[e] or tx[e] or ty[e])
-        )
+        red = self._red
+        return sorted(edge for edge, e in self.g.eid.items() if not red[e])
 
     def tr_size(self) -> int:
         """Reduction size tracked in O(1), no edge scan."""

@@ -4,14 +4,18 @@ Edges inside a strongly connected component are covered by an
 inclusion-minimal strongly connected spanning subset of that component;
 edges between components are covered by per-edge redundancy ledgers plus
 the one marked representative of every parallel group.  This module owns
-the minimal spanning-subset routine, ``general_reduction``, which
-assembles both parts for ``TrGeneral`` and ``AlgebraicGeneral`` alike
-(each engine supplies the test deciding whether a parallel group keeps
-its representative), and the combinatorial engine, whose
-``is_redundant`` answers for an edge inside one component with the
-``has_detour`` path probe of ``graph_core``.  ``general_reduction``
-splits the live edges by component with ``split_edges`` of
-``scc_snapshots``, the split that also builds the parallel-group table.
+the minimal spanning-subset routine.  It drops each edge (u, v) whose
+removal leaves u reaching v, since a strongly connected K stays so
+without (u, v) iff it does, and it asks that with a two-front probe: a
+search forward from u and one backward from v, which meet iff u reaches
+v.  It also owns ``general_reduction``, which assembles both parts for
+``TrGeneral`` and ``AlgebraicGeneral`` alike (each engine supplies the
+test deciding whether a parallel group keeps its representative), and
+the combinatorial engine, whose ``is_redundant`` answers for an edge
+inside one component with the ``has_detour`` path probe of
+``graph_core``.  ``general_reduction`` splits the live edges by
+component with ``split_edges`` of ``scc_snapshots``, the split that also
+builds the parallel-group table.
 """
 
 from __future__ import annotations
@@ -19,21 +23,52 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import BadUpdate, MissingEdge, NotStronglyConnected
-from .graph_core import Edge, TimestampedGraph, has_detour
+from .graph_core import Edge, TimestampedGraph, _vertex, has_detour
 from .scc_snapshots import SccSnapshots, split_edges
 
 
-def _reached(adj: dict[int, set[int]], src: int, stop: int | None = None) -> set[int]:
-    """Vertices ``src`` reaches over ``adj``, the search ending once it
-    reaches ``stop``."""
+def _reached(adj: dict[int, set[int]], src: int) -> set[int]:
+    """Vertices ``src`` reaches over ``adj``."""
     seen = {src}
     stack = [src]
-    while stack and stop not in seen:
+    while stack:
         for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def _meets(
+    heads: dict[int, set[int]], tails: dict[int, set[int]], u: int, v: int
+) -> bool:
+    """True iff ``u`` reaches ``v`` over ``heads``, whose mirror is ``tails``.
+
+    The fronts from ``v`` over ``tails`` and from ``u`` over ``heads``
+    expand one vertex each in turn, backward first; they meet when one
+    side newly sees a vertex the other side has seen.
+    """
+    if u == v:
+        return True
+    fwd_seen, bwd_seen = {u}, {v}
+    fwd, bwd = [u], [v]
+    while True:
+        for w in tails[bwd.pop()]:
+            if w not in bwd_seen:
+                if w in fwd_seen:
+                    return True
+                bwd_seen.add(w)
+                bwd.append(w)
+        if not bwd:
+            return False
+        for w in heads[fwd.pop()]:
+            if w not in fwd_seen:
+                if w in bwd_seen:
+                    return True
+                fwd_seen.add(w)
+                fwd.append(w)
+        if not fwd:
+            return False
 
 
 def minimal_scss(
@@ -48,10 +83,14 @@ def minimal_scss(
     Each probe rests on one identity: if K is strongly connected, then
     K - (u, v) is strongly connected iff u still reaches v in K - (u, v).
     The kept set stays strongly connected after every probe, so a probe
-    drops v from u's heads and searches from u, stopping at v; it puts v
-    back only if the search did not find it.  A repeated edge that an
-    earlier probe dropped is skipped.  An endpoint outside
-    ``scc_vertices`` raises ``BadUpdate``.
+    drops (u, v) from the per-vertex ``heads`` and from their mirror
+    ``tails``, and asks ``_meets`` whether u still reaches v: a search
+    forward from u and one backward from v, which meet iff it does.  The
+    edge goes back only if the two fronts did not meet.  A kept edge's
+    probe thus ends as soon as either side runs out, after one step when
+    v has no other kept in-edge, instead of after everything u reaches.
+    A repeated edge that an earlier probe dropped is skipped.  An endpoint
+    outside ``scc_vertices`` raises ``BadUpdate``.
     """
     verts = list(scc_vertices)
     edges = list(scc_edges)
@@ -70,8 +109,10 @@ def minimal_scss(
         if v not in heads[u]:
             continue
         heads[u].discard(v)
-        if v not in _reached(heads, u, v):
+        tails[v].discard(u)
+        if not _meets(heads, tails, u, v):
             heads[u].add(v)
+            tails[v].add(u)
     return {(t, h) for t, hs in heads.items() for h in hs}
 
 
@@ -175,6 +216,8 @@ class TrGeneral:
         return general_reduction(self.g, self.scc.comp_cur, keep_group)
 
     def is_redundant(self, x: int, y: int) -> bool:
+        if type(x) is not int or type(y) is not int:
+            x, y = _vertex(x), _vertex(y)
         if (x, y) not in self.g.eid:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
         comp = self.scc.comp_cur

@@ -418,12 +418,14 @@ def malformed_twins(upd, n):
     """Updates that name the vertices of ``upd`` in a shape the graph rejects."""
     t, h = upd.edges[0]
     edges = [(float(t), h), (str(t), h), (t, h, h), t, [t, h]]
+    # batches that are not iterable at all
+    batches = [t, None]
     if isinstance(upd, DeleteSet):
-        return [DeleteSet((e,)) for e in edges]
+        return [DeleteSet((e,)) for e in edges] + [DeleteSet(b) for b in batches]
     return [InsertCentered(upd.center, (e,)) for e in edges] + [
         InsertCentered(float(upd.center), upd.edges),
         InsertCentered(n + 1, ((n + 1, 1),)),
-    ]
+    ] + [InsertCentered(upd.center, b) for b in batches]
 
 
 @pytest.mark.parametrize("mode,engine", ENGINES)
@@ -453,6 +455,18 @@ def test_numpy_int_vertices_work_like_ints(mode, engine):
             eng.delete_edges(edges)
         apply(ref, upd)
         same_answers(eng, ref)
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES)
+def test_queries_check_their_vertices(mode, engine):
+    eng = make_engine(mode, engine, 3, seed=5)
+    eng.insert_centered(1, [(1, 2)])
+    for x, y in [(1.0, 2), (1, 2.0), ("1", 2), (None, 2)]:
+        with pytest.raises(BadUpdate, match="a vertex is an int"):
+            eng.is_redundant(x, y)
+    assert eng.is_redundant(np.int64(1), np.int32(2)) is eng.is_redundant(1, 2) is False
+    with pytest.raises(MissingEdge):
+        eng.is_redundant(np.int64(2), 1)
 
 
 @st.composite

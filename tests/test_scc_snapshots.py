@@ -431,6 +431,13 @@ def scratch_groups(g, comp):
     return {key: tuple(edge for _, edge in sorted(items)) for key, items in tagged.items()}
 
 
+def assert_kept_condensation(g, scc):
+    comp = scc.comp_cur
+    assert partition_groups(comp, g.n) == partition_groups(condensation(g), g.n)
+    got = {key: grp.members for key, grp in scc.groups.items()}
+    assert got == scratch_groups(g, comp)
+
+
 @given(general_streams())
 @PROPERTY_SETTINGS
 def test_kept_condensation_matches_from_scratch(case):
@@ -439,10 +446,26 @@ def test_kept_condensation_matches_from_scratch(case):
     scc = SccSnapshots(g)
     for upd in updates:
         drive(g, scc, upd)
-        comp = scc.comp_cur
-        assert partition_groups(comp, n) == partition_groups(condensation(g), n)
-        got = {key: grp.members for key, grp in scc.groups.items()}
-        assert got == scratch_groups(g, comp)
+        assert_kept_condensation(g, scc)
+
+
+def test_kept_condensation_on_seeded_streams(monkeypatch):
+    # counts the insertions that join two components without a refresh,
+    # so the check is known to cover the path that appends to groups
+    refreshed = spy(monkeypatch, "refresh_groups")
+    appended = 0
+    for seed in range(60):
+        n = 3 + seed % 10
+        density = (0.0, 0.25, 0.45)[seed % 3]
+        g = TimestampedGraph(n)
+        scc = SccSnapshots(g)
+        for upd in random_update_stream(n, 40, "general", density=density, seed=seed):
+            comp, calls = scc.comp_cur, len(refreshed)
+            drive(g, scc, upd)
+            if isinstance(upd, InsertCentered) and len(refreshed) == calls:
+                appended += any(comp[t] != comp[h] for t, h in upd.edges)
+            assert_kept_condensation(g, scc)
+    assert appended > 100
 
 
 class TestKeptCondensation:
@@ -481,6 +504,22 @@ class TestKeptCondensation:
         scc.delete(g.apply_delete([(1, 2)]))
         assert refreshed == [None]
         assert len(set(scc.comp_cur[1:])) == 3
+
+    def test_inter_insertion_without_cycle_appends_to_groups(self, monkeypatch):
+        g = TimestampedGraph(5)
+        scc = SccSnapshots(g)
+        for center, batch in [(1, [(1, 2), (2, 1)]), (3, [(3, 4), (4, 3)])]:
+            g.apply_insert_centered(center, batch)
+            scc.rebuild(center)
+        refreshed = spy(monkeypatch, "refresh_groups")
+        # one batch: two edges into one group, in edge order, and a new group
+        for center, batch in [(2, [(2, 4)]), (3, [(3, 5), (2, 3), (1, 3)])]:
+            g.apply_insert_centered(center, batch)
+            scc.rebuild(center)
+        assert refreshed == []
+        assert group_of(scc, 1, 3).members == ((2, 4), (1, 3), (2, 3))
+        assert group_of(scc, 3, 5).members == ((3, 5),)
+        assert_kept_condensation(g, scc)
 
     def test_inter_insertion_recomputes_it(self, monkeypatch):
         g, scc = two_cycle_fixture()

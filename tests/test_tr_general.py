@@ -1,5 +1,6 @@
 """General-digraph reduction engine: fixtures, minimality, oracle checks."""
 
+import hashlib
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dyntr import (
+    AlgebraicGeneral,
     DeleteSet,
     InsertCentered,
     TimestampedGraph,
@@ -100,6 +102,30 @@ class TestMinimalScss:
             rng.shuffle(edges)
             verts = rng.sample(range(1, n + 1), n)
             assert minimal_scss(verts, edges) == brute_minimal_scss(verts, edges)
+
+    def test_probe_after_the_only_other_in_edge_was_dropped(self):
+        # (1, 3) and (3, 1) are dropped first; when (4, 1) is probed, 1's
+        # only other in-edge (3, 1) is gone, so the backward front ends at
+        # once and the edge stays
+        edges = [(1, 3), (3, 1), (1, 2), (2, 3), (3, 4), (4, 1), (4, 3)]
+        kept = minimal_scss([1, 2, 3, 4], edges)
+        assert kept == {(1, 2), (2, 3), (3, 4), (4, 1)}
+        assert kept == brute_minimal_scss([1, 2, 3, 4], edges)
+
+    def test_matches_full_cover_reference_on_large_sparse_components(self):
+        # a Hamiltonian cycle plus up to n chords: most probes keep their
+        # edge, so both fronts of the probe run long before they stop
+        rng = random.Random(7)
+        for _ in range(150):
+            n = rng.randint(20, 80)
+            order = rng.sample(range(1, n + 1), n)
+            edges = {(order[j - 1], order[j]) for j in range(n)}
+            m = rng.randint(n, 2 * n)
+            while len(edges) < m:
+                edges.add(tuple(rng.sample(range(1, n + 1), 2)))
+            edges = list(edges)
+            rng.shuffle(edges)
+            assert minimal_scss(order, edges) == brute_minimal_scss(order, edges)
 
 
 class TestHasDetour:
@@ -304,3 +330,20 @@ def test_dag_streams_through_general_engine(case):
     for upd in updates:
         drive(eng, upd)
         assert eng.tr_edges() == sorted(brute_tr_dag(n, eng.g.edge_list()))
+
+
+@pytest.mark.parametrize("cls", [TrGeneral, AlgebraicGeneral])
+def test_reduction_digest_over_seeded_histories(cls):
+    # SHA-256 over every tr_edges() result of 150 seeded histories, as the
+    # one-search probe that preceded the two-front probe gave it
+    digest = hashlib.sha256()
+    for seed in range(150):
+        n = 4 + seed % 24
+        density = (0.0, 0.25, 0.45)[seed % 3]
+        eng = cls(n)
+        for upd in random_update_stream(n, 3 * n, "general", density=density, seed=seed):
+            drive(eng, upd)
+            digest.update(repr(eng.tr_edges()).encode())
+    assert digest.hexdigest() == (
+        "d0dac09229b0c39f683d0b4d06d9583451e55d0d53d66ba424067f3f85b117ca"
+    )
