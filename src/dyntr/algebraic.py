@@ -37,7 +37,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .errors import BadUpdate, DenominatorZero, MissingEdge, SingularMatrix, TooLarge
-from .graph_core import Edge, TimestampedGraph, _batch, _vertex
+from .graph_core import Edge, TimestampedGraph, _vertex
 from .scc_snapshots import condensation
 # minimal_scss stays bound here too: the benchmark's layer trace wraps it
 from .tr_general import general_reduction, minimal_scss  # noqa: F401
@@ -208,23 +208,19 @@ class AlgebraicDag:
         self.g = TimestampedGraph(n, acyclic=True)
         self._rng = random.Random(seed)
 
-    def _layered(self, u: int, v: int) -> tuple[Edge, Edge, Edge]:
-        n = self.n
+    def _layered(self, e: int) -> tuple[Edge, Edge, Edge]:
+        n, u, v = self.n, self.g.e_tail[e], self.g.e_head[e]
         return ((u, v), (u, n + v), (n + u, 2 * n + v))
 
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
-        batch = _batch(new_edges)
-        self.g.apply_insert_centered(center, batch)
-        for edge in sorted(set(batch)):
-            for a, b in self._layered(*edge):
+        for e in self.g.apply_insert_centered(center, new_edges):
+            for a, b in self._layered(e):
                 x = self._rng.randrange(1, FIELD_PRIME)
                 self.state.assign(a - 1, b - 1, FIELD_PRIME - x)
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
-        batch = _batch(removed)
-        self.g.apply_delete(batch)
-        for edge in batch:
-            for a, b in self._layered(*edge):
+        for e in self.g.apply_delete(removed):
+            for a, b in self._layered(e):
                 self.state.assign(a - 1, b - 1, 0)
 
     def is_redundant(self, x: int, y: int) -> bool:
@@ -275,9 +271,9 @@ class AlgebraicGeneral:
     # ---- updates ----
 
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
-        batch = _batch(new_edges)
-        self.g.apply_insert_centered(center, batch)
-        for u, v in sorted(set(batch)):
+        g = self.g
+        for e in g.apply_insert_centered(center, new_edges):
+            u, v = g.e_tail[e], g.e_head[e]
             try:
                 self.state.assign(u - 1, v - 1, self._rng.randrange(1, FIELD_PRIME))
             except DenominatorZero:
@@ -285,9 +281,9 @@ class AlgebraicGeneral:
                 self._rebuild()
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
-        batch = _batch(removed)
-        self.g.apply_delete(batch)
-        for u, v in batch:
+        g = self.g
+        for e in g.apply_delete(removed):
+            u, v = g.e_tail[e], g.e_head[e]
             try:
                 self.state.assign(u - 1, v - 1, 0)
             except DenominatorZero:

@@ -332,6 +332,12 @@ def main(argv: list[str] | None = None) -> int:
                          help="insert share of the mixed phase")
     bench_p.add_argument("--out", metavar="PATH", required=True)
     args = parser.parse_args(argv)
+    if args.command == "bench":
+        # NaN fails the range test too
+        if not 0 <= args.density <= 1:
+            bench_p.error(f"--density must lie in [0, 1], got {args.density}")
+        if args.steps < 0:
+            bench_p.error(f"--steps must not be negative, got {args.steps}")
     try:
         if args.command == "run":
             if args.stream == "-":

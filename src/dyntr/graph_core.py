@@ -21,6 +21,13 @@ values so that an engine holding a stale cursor can still step forward to
 the surviving part of the list (dead entries are skipped by checking
 ``e_live``).
 
+Age order is id order: ids increase in ``(timestamp, tail, head)`` order,
+since a batch is linked sorted, stamps only grow, and the ids of a
+rejected batch, which never went live, are taken back.  So ``e_ts`` is
+sorted and the dict ``eid`` keeps the live edges in id order.  Only this
+module validates and orders a batch; both mutations return its ids,
+ascending for an insertion and in batch order for a deletion.
+
 Engines walk the lists through two *orientations*, built once per graph:
 ``fwd = (out_first, out_nxt, e_head, e_tail)`` and ``bwd = (in_first,
 in_nxt, e_tail, e_head)``.  An orientation ``(first, nxt, far, near)``
@@ -128,15 +135,15 @@ class TimestampedGraph:
 
     # ---- mutation ----
 
-    def apply_insert_centered(self, center: int, new_edges: Iterable[Edge]) -> int:
-        """Insert a batch of edges incident to ``center``; returns its stamp.
+    def apply_insert_centered(self, center: int, edges: Iterable[Edge]) -> list[int]:
+        """Insert a batch of edges incident to ``center``; returns its ids, ascending.
 
         The whole batch shares one fresh timestamp and ``center_ts[center]``
         is advanced to it.  In acyclic mode a reachability probe rejects
         (and rolls back) a batch that would close a directed cycle.
         """
         center = _vertex(center)
-        raw = [_edge(edge) for edge in _batch(new_edges)]
+        raw = [_edge(edge) for edge in _batch(edges)]
         batch = sorted(set(raw))
         if not batch:
             raise BadUpdate("empty insertion batch")
@@ -151,20 +158,22 @@ class TimestampedGraph:
             if (tail, head) in self.eid:
                 raise DuplicateEdge(f"edge ({tail}, {head}) already present")
         stamp = self.last_ts + 1
+        start = len(self.e_tail)
         for tail, head in batch:
             self._link(tail, head, stamp)
         # every cycle a centered batch closes in a DAG passes through the center
         if self.acyclic and has_detour(self, center, center):
             for tail, head in batch:
                 self._unlink(self.eid[(tail, head)])
-            del self.e_tail[-len(batch):], self.e_head[-len(batch):]
-            del self.e_ts[-len(batch):], self.e_live[-len(batch):]
-            del self.out_nxt[-len(batch):], self.out_prv[-len(batch):]
-            del self.in_nxt[-len(batch):], self.in_prv[-len(batch):]
+            # take the ids back, so id order stays age order
+            del self.e_tail[start:], self.e_head[start:]
+            del self.e_ts[start:], self.e_live[start:]
+            del self.out_nxt[start:], self.out_prv[start:]
+            del self.in_nxt[start:], self.in_prv[start:]
             raise CycleCreated(f"insertion at {center} would close a cycle")
         self.last_ts = stamp
         self.center_ts[center] = stamp
-        return stamp
+        return list(range(start, len(self.e_tail)))
 
     def apply_delete(self, edges: Iterable[Edge]) -> list[int]:
         """Remove a set of live edges from the graph and all snapshots.

@@ -23,6 +23,7 @@ from .graph_core import (
     InsertCentered,
     TimestampedGraph,
     Update,
+    _vertex,
 )
 
 
@@ -571,10 +572,10 @@ class OracleEngine:
         self.g = TimestampedGraph(n, acyclic=(mode == "dag"))
 
     def insert_centered(self, center, edges) -> None:
-        self.g.apply_insert_centered(center, list(edges))
+        self.g.apply_insert_centered(center, edges)
 
     def delete_edges(self, removed) -> None:
-        self.g.apply_delete(list(removed))
+        self.g.apply_delete(removed)
 
     def tr_edges(self) -> list[Edge]:
         g = self.g
@@ -585,6 +586,7 @@ class OracleEngine:
         return sorted(brute_tr_general(g.n, live, order))
 
     def is_redundant(self, x: int, y: int) -> bool:
+        x, y = _vertex(x), _vertex(y)
         if (x, y) not in self.g.eid:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
         return brute_redundant(self.g.n, list(self.g.eid), x, y)

@@ -35,56 +35,60 @@ drops the removed edges from their groups.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph_core import NIL, Edge, TimestampedGraph, has_detour
 
 
-def _strong_components(n: int, edges: Iterable[Edge]) -> list[int]:
-    """Kosaraju's two-pass component labeling, vertex -> component id."""
-    out_adj: list[list[int]] = [[] for _ in range(n + 1)]
-    rev: list[list[int]] = [[] for _ in range(n + 1)]
-    for t, h in edges:
-        out_adj[t].append(h)
-        rev[h].append(t)
+def _strong_components(g: TimestampedGraph, limit: int) -> list[int]:
+    """Kosaraju's two-pass labeling of the snapshot cut at ``limit``,
+    vertex -> component id, over the graph's own out- and in-lists."""
+    n, e_ts = g.n, g.e_ts
+    first, nxt, far, _ = g.fwd
+    cursor = list(first)
     seen = bytearray(n + 1)
     order: list[int] = []
     for s in range(1, n + 1):
         if seen[s]:
             continue
         seen[s] = 1
-        stack = [(s, 0)]
+        stack = [s]
         while stack:
-            v, i = stack.pop()
-            if i < len(out_adj[v]):
-                stack.append((v, i + 1))
-                w = out_adj[v][i]
-                if not seen[w]:
-                    seen[w] = 1
-                    stack.append((w, 0))
+            v = stack[-1]
+            e = cursor[v]
+            while e != NIL and e_ts[e] <= limit and seen[far[e]]:
+                e = nxt[e]
+            if e == NIL or e_ts[e] > limit:
+                order.append(stack.pop())
             else:
-                order.append(v)
+                cursor[v], w = nxt[e], far[e]
+                seen[w] = 1
+                stack.append(w)
+    first, nxt, far, _ = g.bwd
     comp = [-1] * (n + 1)
     cid = 0
     for s in reversed(order):
         if comp[s] != -1:
             continue
         comp[s] = cid
-        stack2 = [s]
-        while stack2:
-            v = stack2.pop()
-            for w in rev[v]:
+        stack = [s]
+        while stack:
+            e = first[stack.pop()]
+            while e != NIL and e_ts[e] <= limit:
+                w = far[e]
                 if comp[w] == -1:
                     comp[w] = cid
-                    stack2.append(w)
+                    stack.append(w)
+                e = nxt[e]
         cid += 1
     return comp
 
 
 def condensation(g: TimestampedGraph) -> list[int]:
     """Component id of every vertex of the current graph."""
-    return _strong_components(g.n, g.eid)
+    return _strong_components(g, g.last_ts)
 
 
 def _search(g: TimestampedGraph, root: int, walk: tuple) -> tuple[bytearray, array]:
@@ -169,11 +173,10 @@ def split_edges(
     g: TimestampedGraph, comp: Sequence[int]
 ) -> tuple[dict[int, list[Edge]], dict[tuple[int, int], list[Edge]]]:
     """The live edges inside each component, and the group of each ordered
-    pair of components, every list in ``(timestamp, edge)`` order."""
+    pair of components, every list in ``g.eid`` order, which is age order."""
     intra: dict[int, list[Edge]] = {}
     inter: dict[tuple[int, int], list[Edge]] = {}
-    e_ts = g.e_ts
-    for _, t, h in sorted((e_ts[e], t, h) for (t, h), e in g.eid.items()):
+    for t, h in g.eid:
         ct, ch = comp[t], comp[h]
         if ct == ch:
             intra.setdefault(ct, []).append((t, h))
@@ -221,15 +224,14 @@ class _RootView:
     def labels(self) -> tuple[list[int], set[int], set[int]]:
         """SCC labeling of the snapshot and its in-/out-witness components."""
         if self._labels is None:
-            g, limit = self.g, self.limit
-            snap = [(t, h) for (t, h), e in g.eid.items() if g.e_ts[e] <= limit]
-            scc_of = _strong_components(g.n, snap)
+            g, limit, e_ts = self.g, self.limit, self.g.e_ts
+            scc_of = _strong_components(g, limit)
             r = scc_of[self.root]
             in_wit: set[int] = set()
             out_wit: set[int] = set()
-            for w, v in snap:
+            for (w, v), e in g.eid.items():
                 cw, cv = scc_of[w], scc_of[v]
-                if cw == cv or cw == r or cv == r:
+                if e_ts[e] > limit or cw == cv or cw == r or cv == r:
                     continue
                 if self.desc[w]:
                     in_wit.add(cv)
@@ -274,31 +276,27 @@ class SccSnapshots:
     def rebuild(self, root: int) -> None:
         """Search ``root``'s snapshot after an insertion centered at it.
 
-        The new edges are the ones at the ends of the root's lists that
-        carry its stamp.  The snapshot is the whole current graph, so the
-        new view tells which of them lie on a cycle: (t, h), with t or h
-        the root, does iff the root reaches t and h reaches the root.
-        Only such an edge between two components merges components, and
-        only then is the table recomputed.  Any other new edge between
-        components joins the back of its group, or opens one.
+        The new edges are the trailing ids, which carry the root's stamp.
+        The snapshot is the whole current graph, so the new view tells
+        which of them lie on a cycle: (t, h), with t or h the root, does
+        iff the root reaches t and h reaches the root.  Only such an edge
+        between two components merges components, and only then is the
+        table recomputed.  Any other new edge between components joins
+        the back of its group, or opens one.
         """
         view = self.views[root] = self._build_view(root)
         g, comp, groups = self.g, self.comp_cur, self.groups
         e_ts, e_tail, e_head = g.e_ts, g.e_tail, g.e_head
-        stamp = g.center_ts[root]
         joined = []
-        for last, prv in ((g.out_last, g.out_prv), (g.in_last, g.in_prv)):
-            e = last[root]
-            while e != NIL and e_ts[e] == stamp:
-                t, h = e_tail[e], e_head[e]
-                if comp[t] != comp[h]:
-                    if view.desc[t] and view.anc[h]:
-                        self.refresh_groups()
-                        return
-                    joined.append((t, h))
-                e = prv[e]
-        # the batch shares one stamp, so (timestamp, edge) order is edge order
-        for t, h in sorted(joined):
+        # ids follow age, so e_ts is sorted
+        for e in range(bisect_left(e_ts, g.center_ts[root]), len(e_ts)):
+            t, h = e_tail[e], e_head[e]
+            if comp[t] != comp[h]:
+                if view.desc[t] and view.anc[h]:
+                    self.refresh_groups()
+                    return
+                joined.append((t, h))
+        for t, h in joined:
             key = (comp[t], comp[h])
             group = groups.get(key)
             groups[key] = ParallelGroup((group.members if group else ()) + ((t, h),))

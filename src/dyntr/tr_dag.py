@@ -42,7 +42,7 @@ from itertools import compress
 
 from .dec_reach import DecReach
 from .errors import MissingEdge
-from .graph_core import NIL, Edge, TimestampedGraph, _batch, _vertex
+from .graph_core import NIL, Edge, TimestampedGraph, _vertex
 
 
 class TrDag:
@@ -62,8 +62,7 @@ class TrDag:
 
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
         g = self.g
-        batch = _batch(new_edges)
-        g.apply_insert_centered(center, batch)
+        fresh = g.apply_insert_centered(center, new_edges)
         old_state = self.states.get(center)
         count, tx, ty = self.count, self.tx, self.ty
         while len(count) < len(g.e_tail):
@@ -115,9 +114,8 @@ class TrDag:
             e = g.in_nxt[e]
         # fresh edges also get their far-side witness, read from the far
         # endpoint's state so the bits always match their definitions
-        for edge in batch:
-            e = g.eid[edge]
-            x, y = edge
+        for e in fresh:
+            x, y = e_tail[e], e_head[e]
             if x == center:
                 far = self.states.get(y)
                 ty[e] = 1 if far is not None and far.out_query(x) else 0
@@ -126,16 +124,13 @@ class TrDag:
                 tx[e] = 1 if far is not None and far.in_query(y) else 0
         # fresh edges enter with red 0, i.e. counted in the reduction;
         # they are among the center's edges, so touched covers them
-        self.tr_count += len(batch)
+        self.tr_count += len(fresh)
         self._refresh_red(touched)
         self.op_counter += ops + len(touched)
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
         g = self.g
-        batch = _batch(removed)
-        if not batch:
-            return
-        ids = g.apply_delete(batch)
+        ids = g.apply_delete(removed)
         e_tail, e_head, e_ts = g.e_tail, g.e_head, g.e_ts
         out_first, out_nxt = g.out_first, g.out_nxt
         in_first, in_nxt = g.in_first, g.in_nxt

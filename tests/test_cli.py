@@ -354,8 +354,23 @@ class TestMain:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--density", "2"), ("--density", "-1"), ("--density", "nan"),
+         ("--steps", "-3")],
+    )
+    def test_bench_rejects_flags_out_of_range(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "b.csv"
+        args = ["bench", "--n", "4", "--steps", "5", "--out", str(out), flag, value]
+        with pytest.raises(SystemExit) as ex:
+            cli.main(args)
+        assert ex.value.code == 2
+        assert f"error: {flag} must" in capsys.readouterr().err
+        assert not out.exists()
+
 
 ENGINES = [("dag", "comb"), ("dag", "alg"), ("general", "comb"), ("general", "alg")]
+ORACLES = [("dag", "oracle"), ("general", "oracle")]
 
 
 def d3_on(mode, engine):
@@ -428,7 +443,7 @@ def malformed_twins(upd, n):
     ] + [InsertCentered(upd.center, b) for b in batches]
 
 
-@pytest.mark.parametrize("mode,engine", ENGINES)
+@pytest.mark.parametrize("mode,engine", ENGINES + ORACLES)
 def test_rejected_batches_leave_no_trace(mode, engine):
     n = 7
     eng, ref = (make_engine(mode, engine, n, seed=5) for _ in range(2))
@@ -457,7 +472,7 @@ def test_numpy_int_vertices_work_like_ints(mode, engine):
         same_answers(eng, ref)
 
 
-@pytest.mark.parametrize("mode,engine", ENGINES)
+@pytest.mark.parametrize("mode,engine", ENGINES + ORACLES)
 def test_queries_check_their_vertices(mode, engine):
     eng = make_engine(mode, engine, 3, seed=5)
     eng.insert_centered(1, [(1, 2)])

@@ -36,8 +36,9 @@ def build_d3() -> TimestampedGraph:
 
 def test_first_insertion_stamps():
     g = TimestampedGraph(3)
-    ts = g.apply_insert_centered(1, [(1, 2), (1, 3)])
-    assert ts == 1
+    ids = g.apply_insert_centered(1, [(1, 3), (1, 2)])
+    assert ids == [g.eid[(1, 2)], g.eid[(1, 3)]] == [0, 1]
+    assert g.last_ts == 1
     assert g.m == 2
     assert g.center_ts[1] == 1
 
@@ -174,6 +175,41 @@ def test_adjacency_stays_ts_sorted(n, seed):
             assert sorted(walked) == sorted(live)
             stamps = [g.e_ts[e] for e in walked]
             assert stamps == sorted(stamps)
+
+
+def _assert_age_order_is_id_order(g: TimestampedGraph) -> None:
+    by_age = sorted(g.eid, key=lambda edge: (g.ts_of(*edge), edge))
+    assert [(g.e_tail[e], g.e_head[e]) for e in sorted(g.eid.values())] == by_age
+    # split_edges reads age order off the dict, rebuild bisects the stamps
+    assert list(g.eid) == by_age
+    assert g.e_ts == sorted(g.e_ts)
+
+
+@pytest.mark.parametrize("mode", ["dag", "general"])
+def test_age_order_is_id_order_on_seeded_histories(mode):
+    # split_edges, SccSnapshots.rebuild and the engines read edge order
+    # off the ids; a rejected batch must leave no id behind
+    for seed in range(40):
+        n = 3 + seed % 10
+        g = TimestampedGraph(n, acyclic=(mode == "dag"))
+        for upd in oracle.random_update_stream(n, 40, mode, 0.5, seed=seed):
+            if isinstance(upd, InsertCentered):
+                ids = g.apply_insert_centered(upd.center, upd.edges)
+                assert ids == [g.eid[edge] for edge in sorted(upd.edges)]
+            else:
+                g.apply_delete(upd.edges)
+            _assert_age_order_is_id_order(g)
+            if not g.eid:
+                continue
+            size = len(g.e_tail)
+            t, h = next(iter(g.eid))
+            with pytest.raises(BadUpdate):
+                g.apply_insert_centered(h, [(h, n + 1)])
+            if mode == "dag":
+                with pytest.raises(CycleCreated):
+                    g.apply_insert_centered(h, [(h, t)])
+            assert len(g.e_tail) == size
+            _assert_age_order_is_id_order(g)
 
 
 def _apply(eng, upd) -> None:

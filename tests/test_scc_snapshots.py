@@ -13,7 +13,7 @@ from dyntr.oracle import (
     snapshot_edges_of,
     transitive_closure,
 )
-from dyntr.scc_snapshots import SccSnapshots, condensation
+from dyntr.scc_snapshots import SccSnapshots, _strong_components, condensation
 
 PROPERTY_SETTINGS = settings(
     max_examples=100,
@@ -271,6 +271,26 @@ def test_partitions_match_from_scratch_oracle(case):
             snap = snapshot_edges_of(g, root)
             comp, _ = scc_partition(n, snap)
             assert partition_groups(view.scc_of, n) == partition_groups(comp, n)
+
+
+@pytest.mark.parametrize("mode", ["dag", "general"])
+def test_strong_components_match_oracle_on_every_cut(mode):
+    # Kosaraju over the shared lists cut at a stamp, against Tarjan over
+    # the edges of each root's snapshot and of the live graph
+    for seed in range(40):
+        n = 3 + seed % 10
+        g = TimestampedGraph(n, acyclic=(mode == "dag"))
+        for upd in random_update_stream(n, 40, mode, density=0.5, seed=seed):
+            if isinstance(upd, InsertCentered):
+                g.apply_insert_centered(upd.center, upd.edges)
+            else:
+                g.apply_delete(upd.edges)
+            cuts = [(g.center_ts[r], snapshot_edges_of(g, r)) for r in range(1, n + 1)]
+            cuts.append((g.last_ts, list(g.eid)))
+            for limit, edges in cuts:
+                want, _ = scc_partition(n, edges)
+                got = _strong_components(g, limit)
+                assert partition_groups(got, n) == partition_groups(want, n)
 
 
 @given(general_streams())
