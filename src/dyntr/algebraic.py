@@ -36,8 +36,8 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadUpdate, DenominatorZero, MissingEdge, SingularMatrix, TooLarge
-from .graph_core import Edge, TimestampedGraph, _vertex
+from .errors import DenominatorZero, MissingEdge, SingularMatrix, TooLarge
+from .graph_core import Edge, TimestampedGraph, _count, _vertex
 from .scc_snapshots import condensation
 # minimal_scss stays bound here too: the benchmark's layer trace wraps it
 from .tr_general import general_reduction, minimal_scss  # noqa: F401
@@ -139,8 +139,7 @@ class InverseState:
     __slots__ = ("size", "m", "minv", "generation")
 
     def __init__(self, size: int) -> None:
-        if size < 1:
-            raise BadUpdate(f"inverse size must be positive, got {size}")
+        size = _count(size, "inverse size")
         need = _PEAK_MATRICES * size * size * 8
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if need > have:
@@ -203,7 +202,7 @@ class AlgebraicDag:
     """Per-edge DAG redundancy bits read off one maintained inverse."""
 
     def __init__(self, n: int, seed: int = 0) -> None:
-        self.n = n
+        self.n = n = _count(n, "vertex count")
         self.state = InverseState(3 * n)
         self.g = TimestampedGraph(n, acyclic=True)
         self._rng = random.Random(seed)
@@ -238,7 +237,7 @@ class AlgebraicGeneral:
     """Edge and group redundancy read off one maintained inverse."""
 
     def __init__(self, n: int, seed: int = 0) -> None:
-        self.n = n
+        self.n = n = _count(n, "vertex count")
         self.state = InverseState(n)
         self.g = TimestampedGraph(n)
         self._rng = random.Random(seed)

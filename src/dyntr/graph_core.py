@@ -95,9 +95,7 @@ class TimestampedGraph:
     )
 
     def __init__(self, n: int, *, acyclic: bool = False) -> None:
-        if n < 1:
-            raise BadUpdate(f"vertex count must be positive, got {n}")
-        self.n = n
+        self.n = n = _count(n, "vertex count")
         self.acyclic = acyclic
         self.m = 0
         self.last_ts = 0
@@ -257,6 +255,17 @@ def _vertex(v: object) -> int:
         return operator.index(v)
     except TypeError:
         raise BadUpdate(f"a vertex is an int, got {v!r}") from None
+
+
+def _count(n: object, what: str) -> int:
+    """``n`` as a positive int; ``BadUpdate`` unless ``operator.index`` takes it."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise BadUpdate(f"{what} is an int, got {n!r}") from None
+    if n < 1:
+        raise BadUpdate(f"{what} must be positive, got {n}")
+    return n
 
 
 def _batch(edges: object) -> list:

@@ -33,12 +33,26 @@ roots' reachability deltas become counter decrements by scanning the
 snapshot edges that leave a vertex dropped from the ancestor side or
 enter a vertex dropped from the descendant side; witness bits are
 re-evaluated only where a cursor actually moved.
+
+The roots to visit are found with one vectorised read of a mirror of
+every root's reach flags: a ``uint8`` array R with one row per root, in
+first-centering order (the order of ``states``), where bit 0 of R[i, x]
+is ``desc[x]`` of the i-th root and bit 1 is ``anc[x]``, beside an
+``int64`` array of each root's ``limit``.  Root i is visited iff some
+removed edge (x, y) with stamp ts has ``limits[i] >= ts`` and
+``R[i, x] & R[i, y] != 0``: one AND of the two columns tests both sides.
+An insertion rewrites its center's row from the new state's flags; a
+deletion clears bit 0 at each visited root's dropped descendants and
+bit 1 at its dropped ancestors.  Rows grow geometrically, so the mirror
+stays proportional to the number of roots times n.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import compress
+
+import numpy as np
 
 from .dec_reach import DecReach
 from .errors import MissingEdge
@@ -51,6 +65,11 @@ class TrDag:
     def __init__(self, n: int) -> None:
         self.g = TimestampedGraph(n, acyclic=True)
         self.states: dict[int, DecReach] = {}
+        # the reach-flag mirror: row i belongs to root self._roots[i]
+        self._slot: dict[int, int] = {}
+        self._roots: list[int] = []
+        self._reach = np.zeros((0, self.g.n + 1), np.uint8)
+        self._limits = np.zeros(0, np.int64)
         self.count: list[int] = []
         self.tx: list[int] = []
         self.ty: list[int] = []
@@ -72,6 +91,7 @@ class TrDag:
             self._red.append(0)
         st = DecReach(g, center)
         self.states[center] = st
+        self._mirror(center, st)
         ops = st.op_counter
         e_tail, e_head, e_ts = g.e_tail, g.e_head, g.e_ts
         out_first, out_nxt = g.out_first, g.out_nxt
@@ -140,6 +160,9 @@ class TrDag:
         for e in ids:
             self.tr_count -= 1 - red[e]
         touched: set[int] = set()
+        # per-entry writes through a memoryview: a numpy fancy write costs
+        # more than the few vertices a visited root usually drops
+        flags, slot = memoryview(self._reach), self._slot
         # one filter probe per root and removed edge
         ops = len(self.states) * len(ids)
         for z, st in self._roots_to_visit(ids):
@@ -147,6 +170,11 @@ class TrDag:
             before = st.op_counter
             d_delta, a_delta = st.delete(ids)
             ops += st.op_counter - before
+            i = slot[z]
+            for x in d_delta:
+                flags[i, x] &= 2
+            for x in a_delta:
+                flags[i, x] &= 1
             desc, anc = st.desc, st.anc
             if a_delta:
                 d_set = set(d_delta)
@@ -183,23 +211,40 @@ class TrDag:
         self._refresh_red(touched)
         self.op_counter += ops + len(touched)
 
+    def _mirror(self, center: int, st: DecReach) -> None:
+        """Write the center's row of the reach-flag mirror from ``st``."""
+        i = self._slot.get(center)
+        if i is None:
+            i = self._slot[center] = len(self._roots)
+            self._roots.append(center)
+            if i == len(self._limits):
+                reach = np.zeros((2 * i or 1, self.g.n + 1), np.uint8)
+                reach[:i] = self._reach
+                limits = np.zeros(len(reach), np.int64)
+                limits[:i] = self._limits
+                self._reach, self._limits = reach, limits
+        row = self._reach[i]
+        np.left_shift(np.frombuffer(st.anc, np.uint8), 1, out=row)
+        row |= np.frombuffer(st.desc, np.uint8)
+        self._limits[i] = st.limit
+
     def _roots_to_visit(self, ids: list[int]) -> list[tuple[int, DecReach]]:
         """Roots of which some removed edge can hold a cursor.
 
-        Reads each state's reachability flags as they were before the
-        deletion; a root left out would get empty deltas from
-        ``DecReach.delete`` and no cursor reassignment.
+        Reads each root's reachability flags as they were before the
+        deletion, off the mirror; a root left out would get empty deltas
+        from ``DecReach.delete`` and no cursor reassignment.
         """
+        k = len(self._roots)
         g = self.g
-        ends = [(g.e_ts[e], g.e_tail[e], g.e_head[e]) for e in ids]
-        visit = []
-        for z, st in self.states.items():
-            limit, desc, anc = st.limit, st.desc, st.anc
-            for ts, x, y in ends:
-                if ts <= limit and ((desc[x] and desc[y]) or (anc[x] and anc[y])):
-                    visit.append((z, st))
-                    break
-        return visit
+        reach, limits = self._reach[:k], self._limits[:k]
+        hit = np.zeros(k, bool)
+        for e in ids:
+            # bit 0 holds desc and bit 1 anc, so one AND tests both sides
+            both = reach[:, g.e_tail[e]] & reach[:, g.e_head[e]]
+            hit |= (both != 0) & (limits >= g.e_ts[e])
+        roots, states = self._roots, self.states
+        return [(roots[i], states[roots[i]]) for i in np.flatnonzero(hit).tolist()]
 
     def _refresh_red(self, edges: Iterable[int]) -> None:
         """Re-derive the reduction flag of each edge and the size count."""

@@ -387,6 +387,23 @@ def test_vertex_count_below_one_is_a_dyntr_error(mode, engine, n):
         make_engine(mode, engine, n)
 
 
+@pytest.mark.parametrize("n", [2.0, "3", None])
+@pytest.mark.parametrize("mode,engine", ENGINES + [("dag", "oracle")])
+def test_vertex_count_that_is_no_int_is_a_dyntr_error(mode, engine, n):
+    with pytest.raises(BadUpdate, match="vertex count is an int"):
+        make_engine(mode, engine, n)
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES + [("dag", "oracle")])
+def test_vertex_count_takes_bools_and_numpy_ints(mode, engine):
+    assert make_engine(mode, engine, True, seed=5).g.n == 1
+    eng = make_engine(mode, engine, np.int64(3), seed=5)
+    assert type(eng.g.n) is int
+    eng.insert_centered(1, [(1, 2), (1, 3)])
+    eng.insert_centered(3, [(3, 2)])
+    assert eng.tr_edges() == [(1, 3), (3, 2)]
+
+
 @pytest.mark.parametrize("mode,engine", ENGINES)
 def test_empty_deletion_is_a_no_op(mode, engine):
     eng = d3_on(mode, engine)

@@ -1,7 +1,9 @@
 """DAG transitive-reduction engine: frozen examples and oracle equivalence."""
 
 import copy
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -207,3 +209,56 @@ def test_roots_the_deletion_filter_skips_are_no_ops(case):
             probe = copy.deepcopy(st_)
             assert probe.delete(ids) == ([], [])
             assert not probe.touched_in and not probe.touched_out
+
+
+def per_root_predicate(eng, ids):
+    """The roots a deletion of ``ids`` must visit, read state by state."""
+    g = eng.g
+    visit = []
+    for z, st_ in eng.states.items():
+        for e in ids:
+            x, y = g.e_tail[e], g.e_head[e]
+            if g.e_ts[e] <= st_.limit and (
+                (st_.desc[x] and st_.desc[y]) or (st_.anc[x] and st_.anc[y])
+            ):
+                visit.append(z)
+                break
+    return visit
+
+
+@given(dag_streams())
+@PROPERTY_SETTINGS
+def test_reach_mirror_and_root_filter_follow_the_states(case):
+    n, updates = case
+    eng = TrDag(n)
+    for i, upd in enumerate(updates):
+        drive(eng, upd)
+        assert eng._roots == list(eng.states)
+        k = len(eng._roots)
+        for row, limit, st_ in zip(eng._reach[:k], eng._limits[:k], eng.states.values()):
+            desc = np.frombuffer(st_.desc, np.uint8)
+            anc = np.frombuffer(st_.anc, np.uint8)
+            assert np.array_equal(row, desc | anc << 1)
+            assert limit == st_.limit
+        batches = [[e] for e in eng.g.eid.values()]
+        if i + 1 < len(updates) and isinstance(updates[i + 1], DeleteSet):
+            batches.append([eng.g.eid[edge] for edge in updates[i + 1].edges])
+        for ids in batches:
+            visit = eng._roots_to_visit(ids)
+            assert [z for z, _ in visit] == per_root_predicate(eng, ids)
+            assert all(st_ is eng.states[z] for z, st_ in visit)
+
+
+def test_a_million_vertices_allocate_nothing_quadratic():
+    n = 10**6
+    tracemalloc.start()
+    try:
+        eng = TrDag(n)
+        eng.insert_centered(1, [(1, 2), (1, n)])
+        eng.delete_edges([(1, n)])
+        assert eng.tr_edges() == [(1, 2)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one row of n + 1 flags would be 1 MB; (n + 1)^2 flags would be 1 TB
+    assert peak < 200 * 2**20
