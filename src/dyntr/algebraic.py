@@ -17,10 +17,11 @@ its nonzero entries are the diagonal and the entries of the live edges.
   the single-edge identity: with B = M^-1 and a the edge's value,
   B[x,y]*(1 - a*B[y,x]) + a*B[x,x]*B[y,y] is the (x, y) cofactor of M
   without the edge, divided by det M, so it is nonzero exactly when the
-  edge has a detour.  ``tr_edges`` uses the group identity: a parallel
-  group of edges between two components is redundant exactly when one
-  signed combination of inverse entries is nonzero.  Both hold up to
-  vanishing error.
+  edge has a detour.  ``tr_edges`` reads the components off B as well:
+  B[x,y] is nonzero only if x reaches y, so x's label is the smallest y
+  with B[x,y] and B[y,x] both nonzero.  A parallel group between two
+  components is redundant exactly when one signed combination of inverse
+  entries at their labels is nonzero.  All hold up to vanishing error.
 
 The modulus is the Mersenne prime 2^61 - 1, so 64-bit vectorized
 reduction only needs shifts and masks.  A product of two residues, split
@@ -38,7 +39,6 @@ import numpy as np
 
 from .errors import DenominatorZero, MissingEdge, SingularMatrix, TooLarge
 from .graph_core import Edge, TimestampedGraph, _count, _vertex
-from .scc_snapshots import condensation
 # minimal_scss stays bound here too: the benchmark's layer trace wraps it
 from .tr_general import general_reduction, minimal_scss  # noqa: F401
 
@@ -267,27 +267,24 @@ class AlgebraicGeneral:
         self.state.m, self.state.minv = m, minv
         self.state.generation += 1
 
+    def _write(self, e: int, value: int) -> None:
+        """Set edge e's entry of M; a zero denominator keeps it there and rebuilds."""
+        i, j = self.g.e_tail[e] - 1, self.g.e_head[e] - 1
+        try:
+            self.state.assign(i, j, value)
+        except DenominatorZero:
+            self.state.m[i, j] = value
+            self._rebuild()
+
     # ---- updates ----
 
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
-        g = self.g
-        for e in g.apply_insert_centered(center, new_edges):
-            u, v = g.e_tail[e], g.e_head[e]
-            try:
-                self.state.assign(u - 1, v - 1, self._rng.randrange(1, FIELD_PRIME))
-            except DenominatorZero:
-                self.state.m[u - 1, v - 1] = self._rng.randrange(1, FIELD_PRIME)
-                self._rebuild()
+        for e in self.g.apply_insert_centered(center, new_edges):
+            self._write(e, self._rng.randrange(1, FIELD_PRIME))
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
-        g = self.g
-        for e in g.apply_delete(removed):
-            u, v = g.e_tail[e], g.e_head[e]
-            try:
-                self.state.assign(u - 1, v - 1, 0)
-            except DenominatorZero:
-                self.state.m[u - 1, v - 1] = 0
-                self._rebuild()
+        for e in self.g.apply_delete(removed):
+            self._write(e, 0)
 
     # ---- redundancy ----
 
@@ -311,15 +308,14 @@ class AlgebraicGeneral:
         return total != 0
 
     def tr_edges(self) -> list[Edge]:
-        comp = condensation(self.g)
-        smallest: dict[int, int] = {}
-        for v in range(1, self.n + 1):
-            smallest.setdefault(comp[v], v)
-
-        def keep_group(members: list[Edge], cf: int, ct: int) -> bool:
-            return not self.group_redundant(members, smallest[cf], smallest[ct])
-
-        return general_reduction(self.g, comp, keep_group)
+        nz = self.state.minv != 0
+        both = nz & nz.T
+        # a singleton's label is exact even if its diagonal entry is a false zero
+        np.fill_diagonal(both, True)
+        comp = [0, *(both.argmax(axis=1) + 1).tolist()]
+        return general_reduction(
+            self.g, comp, lambda members, r, t: not self.group_redundant(members, r, t)
+        )
 
     def is_redundant(self, x: int, y: int) -> bool:
         """Single-edge identity of the module docstring.

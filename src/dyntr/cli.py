@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .algebraic import AlgebraicDag, AlgebraicGeneral
-from .errors import DynTrError, ParseError, StreamCheckError
+from .errors import BadUpdate, DynTrError, ParseError, StreamCheckError
 from .graph_core import DeleteSet, Edge, InsertCentered, Update
 from .oracle import OracleEngine, brute_tr_dag, random_update_stream, validity_triple
 from .tr_dag import TrDag
@@ -158,6 +158,8 @@ def serialize_stream(stream: Stream) -> str:
 
 
 def make_engine(mode: str, engine: str, n: int, seed: int = 0):
+    if mode not in MODES:
+        raise BadUpdate(f"unknown mode {mode!r}")
     if engine == "comb":
         return TrDag(n) if mode == "dag" else TrGeneral(n)
     if engine == "alg":
@@ -166,7 +168,7 @@ def make_engine(mode: str, engine: str, n: int, seed: int = 0):
         return AlgebraicGeneral(n, seed=seed)
     if engine == "oracle":
         return OracleEngine(n, mode)
-    raise ValueError(f"unknown engine {engine!r}")
+    raise BadUpdate(f"unknown engine {engine!r}")
 
 
 def _elementary_ops(eng) -> int:

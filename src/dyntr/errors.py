@@ -12,10 +12,12 @@ class BadUpdate(DynTrError, ValueError):
 
     Also raised for a vertex that is not an int (``operator.index`` fails),
     in an update or in a query, for an edge that is not a (tail, head)
-    tuple or a batch that is not iterable, by ``minimal_scss`` for
-    an edge with an endpoint outside the vertices it was given, and by a
-    constructor given a vertex count (or inverse size) below 1.  Also a
-    ``ValueError``, which these inputs raised before the class existed.
+    tuple or a batch that is not iterable, by ``minimal_scss`` for a
+    repeated vertex, an edge that is not a pair, or an edge with an
+    endpoint outside the vertices it was given, by a constructor given a
+    vertex count (or inverse size) below 1, and by ``cli.make_engine``
+    for an unknown mode or engine name.  Also a ``ValueError``, which
+    these inputs raised before the class existed.
     """
 
 

@@ -72,7 +72,7 @@ def _meets(
 
 
 def minimal_scss(
-    scc_vertices: Sequence[int], scc_edges: Sequence[Edge]
+    scc_vertices: Iterable[int], scc_edges: Iterable[Edge]
 ) -> set[Edge]:
     """Inclusion-minimal strongly connected spanning subset of one SCC.
 
@@ -89,14 +89,23 @@ def minimal_scss(
     edge goes back only if the two fronts did not meet.  A kept edge's
     probe thus ends as soon as either side runs out, after one step when
     v has no other kept in-edge, instead of after everything u reaches.
-    A repeated edge that an earlier probe dropped is skipped.  An endpoint
-    outside ``scc_vertices`` raises ``BadUpdate``.
+    A repeated edge that an earlier probe dropped is skipped.  A repeated
+    vertex, an edge that is not a pair, or an endpoint outside
+    ``scc_vertices`` raises ``BadUpdate``.
     """
     verts = list(scc_vertices)
     edges = list(scc_edges)
-    heads: dict[int, set[int]] = {v: set() for v in verts}
+    heads: dict[int, set[int]] = {}
+    for v in verts:
+        if v in heads:
+            raise BadUpdate(f"vertex {v} repeated")
+        heads[v] = set()
     tails: dict[int, set[int]] = {v: set() for v in verts}
-    for t, h in edges:
+    for e in edges:
+        try:
+            t, h = e
+        except (TypeError, ValueError):
+            raise BadUpdate(f"an edge is a (tail, head) pair, got {e!r}") from None
         if t not in heads or h not in heads:
             raise BadUpdate(f"edge ({t}, {h}) leaves the given vertices")
         heads[t].add(h)
@@ -121,21 +130,18 @@ def general_reduction(
     comp: Sequence[int],
     keep_group: Callable[[list[Edge], int, int], bool],
 ) -> list[Edge]:
-    """The reduction of ``g`` under the component labeling ``comp``.
+    """The reduction of ``g`` under ``comp``, a component label per vertex.
 
-    Inside each component: the minimal spanning subset of its edges,
-    probed oldest first.  Between components: the oldest member of each
-    parallel group, ordered by ``(timestamp, edge)``, whenever
-    ``keep_group(members, from_comp, to_comp)`` says the group keeps it.
+    Inside each component with an edge: the minimal spanning subset of
+    its edges, probed oldest first, over their tails, which are all its
+    vertices.  Between components: the oldest member of each parallel
+    group, ordered by ``(timestamp, edge)``, whenever
+    ``keep_group(members, from_label, to_label)`` says the group keeps it.
     """
-    members: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        members.setdefault(comp[v], []).append(v)
     intra, groups = split_edges(g, comp)
     result: list[Edge] = []
-    for cid, verts in members.items():
-        if len(verts) > 1:
-            result.extend(minimal_scss(verts, intra.get(cid, [])))
+    for edges in intra.values():
+        result.extend(minimal_scss({t for t, _ in edges}, edges))
     for (cf, ct), edges in groups.items():
         if keep_group(edges, cf, ct):
             result.append(edges[0])

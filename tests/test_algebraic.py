@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dyntr import DeleteSet, InsertCentered, TrDag, TrGeneral, algebraic
+from dyntr import DeleteSet, InsertCentered, TrDag, TrGeneral, algebraic, scc_snapshots
 from dyntr.algebraic import (
     FIELD_PRIME,
     AlgebraicDag,
@@ -26,7 +26,12 @@ from dyntr.errors import (
     SingularMatrix,
     TooLarge,
 )
-from dyntr.oracle import brute_redundant, dag_path_count, random_update_stream
+from dyntr.oracle import (
+    brute_redundant,
+    dag_path_count,
+    random_update_stream,
+    validity_triple,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=100,
@@ -428,10 +433,12 @@ class TestGeneralEngine:
             assert eng.is_redundant(*edge) == brute_redundant(3, live, *edge)
 
     def test_is_redundant_needs_no_condensation(self, monkeypatch):
-        def refuse(g):
-            raise AssertionError("is_redundant condensed the graph")
+        # tr_edges reads its components off the inverse as well
+        def refuse(*args):
+            raise AssertionError("the engine condensed the graph")
 
-        monkeypatch.setattr(algebraic, "condensation", refuse)
+        monkeypatch.setattr(scc_snapshots, "condensation", refuse)
+        monkeypatch.setattr(scc_snapshots, "_strong_components", refuse)
         n = 8
         eng = AlgebraicGeneral(n, seed=6)
         for op in random_update_stream(n, 40, "general", density=0.45, seed=6):
@@ -442,6 +449,7 @@ class TestGeneralEngine:
             live = list(eng.g.eid)
             for edge in live:
                 assert eng.is_redundant(*edge) == brute_redundant(n, live, *edge)
+            assert validity_triple(n, live, eng.tr_edges()) is None
 
 
 class TestInitInverse:

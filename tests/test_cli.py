@@ -380,6 +380,22 @@ def d3_on(mode, engine):
     return eng
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: make_engine("dga", "comb", 5),
+        lambda: make_engine("general", "cmb", 5),
+        lambda: run_stream(D3_STREAM, engine="cmb"),
+        lambda: bench(5, 3, "dga", "alg"),
+        lambda: bench(5, 3, "dag", "cmb"),
+    ],
+    ids=["mode", "engine", "run-engine", "bench-mode", "bench-engine"],
+)
+def test_unknown_mode_or_engine_is_a_bad_update(call):
+    with pytest.raises(BadUpdate, match=r"unknown (mode 'dga'|engine 'cmb')"):
+        call()
+
+
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("mode,engine", ENGINES)
 def test_vertex_count_below_one_is_a_dyntr_error(mode, engine, n):

@@ -71,10 +71,16 @@ class TestMinimalScss:
         kept = minimal_scss([1, 2, 3, 4], extra + edges)
         assert kept == set(edges)
 
-    @pytest.mark.parametrize("stray", [(3, 1), (1, 3)], ids=["tail", "head"])
+    @pytest.mark.parametrize(
+        "stray", [(3, 1), (1, 3), (1, 2, 3), 1], ids=["tail", "head", "triple", "int"]
+    )
     def test_endpoint_outside_vertices_rejected(self, stray):
         with pytest.raises(BadUpdate):
             minimal_scss([1, 2], [(1, 2), (2, 1), stray])
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(BadUpdate, match="vertex 1 repeated"):
+            minimal_scss([1, 1, 2], [(1, 2), (2, 1)])
 
     def test_repeated_edge_matches_deduplicated_list(self):
         # the repeated chord is dropped on its first probe and skipped on
