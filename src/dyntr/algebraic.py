@@ -1,9 +1,12 @@
 """Randomized algebraic redundancy engines over a fixed prime field.
 
 Both engines maintain a matrix M of uniformly random residues, one fresh
-variable per live edge, and its explicit inverse, updated by rank-1
-corrections in O(size^2) arithmetic per edge change.  M holds every value:
-its nonzero entries are the diagonal and the entries of the live edges.
+variable per live edge, and its explicit inverse.  An update's entries of
+M go in by rows or by columns, whichever are fewer: entries along one row
+or one column are one rank-1 change, so each line costs one in-place
+O(size^2) pass over the inverse, and a centered batch of any size at most
+two.  M holds every value: its nonzero entries are the diagonal and the
+entries of the live edges.
 
 * DAG mode inverts ``I - A`` over a three-layer expansion of the graph
   (plain, once-shifted, twice-shifted copies of every vertex; three
@@ -53,37 +56,67 @@ _S61 = np.uint64(61)
 _ONE = np.uint64(1)
 
 # size x size uint64 arrays alive at the peak, m and minv included, by
-# tracemalloc at size 200: 6.0 in rank1_update, 8.1 in a _rebuild that
-# inverts at once, 9.1 in one that resamples a copy of M first
+# tracemalloc at size 200: 4.5 in the first pass (two of them the work
+# matrices it keeps), 6.5 in a _rebuild that inverts at once, 7.5 in one
+# that resamples a copy of M first
 _PEAK_MATRICES = 10
 
 
-def _reduce(x: np.ndarray) -> np.ndarray:
+def _reduce(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     # one fold takes any uint64 to at most p + 7; one subtraction ends it
-    x = (x >> _S61) + (x & _P)
-    return np.minimum(x, x - _P)
+    np.right_shift(x, _S61, out=tmp)
+    x &= _P
+    x += tmp
+    np.subtract(x, _P, out=tmp)
+    return np.minimum(x, tmp, out=x)
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mulmod(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
     """Elementwise a*b mod 2^61-1 without leaving uint64 range.
 
     Inputs must be below 2^61: the four partial products of the 31/30-bit
     split then sum to less than 2^63, so one ``_reduce`` finishes them.
+    The product goes to ``out`` with ``tmp`` as scratch, both uint64
+    arrays of the broadcast shape, allocated when not given; a and b are
+    split before either is written, so they may be views of ``out``.
     """
     a1 = a >> _S31
     a0 = a & _MASK31
     b1 = b >> _S31
     b0 = b & _MASK31
-    mid = a1 * b0 + a0 * b1
-    # 2^62 == 2 and mid * 2^31 == (mid >> 30) + (mid & mask30) * 2^31
-    return _reduce(
-        ((a1 * b1) << _ONE) + (mid >> _S30) + ((mid & _MASK30) << _S31) + a0 * b0
-    )
+    shape = np.broadcast_shapes(a1.shape, b1.shape)
+    if out is None:
+        out = np.empty(shape, np.uint64)
+    if tmp is None:
+        tmp = np.empty(shape, np.uint64)
+    # mid = a1*b0 + a0*b1; 2^62 == 2 and
+    # mid * 2^31 == (mid >> 30) + (mid & mask30) * 2^31
+    np.multiply(a1, b0, out=out)
+    np.multiply(a0, b1, out=tmp)
+    out += tmp
+    np.right_shift(out, _S30, out=tmp)
+    out &= _MASK30
+    out <<= _S31
+    out += tmp
+    np.multiply(a1, b1, out=tmp)
+    tmp <<= _ONE
+    out += tmp
+    np.multiply(a0, b0, out=tmp)
+    out += tmp
+    return _reduce(out, tmp)
 
 
-def _submod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = a + (_P - b)
-    return np.minimum(x, x - _P)
+def _submod(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
+    """a - b mod p as a + (p - b) and one conditional subtraction; ``out``
+    and ``tmp`` as in ``_mulmod``, and ``tmp`` may be b itself."""
+    tmp = np.subtract(_P, b, out=tmp)
+    out = np.add(a, tmp, out=out)
+    np.subtract(out, _P, out=tmp)
+    return np.minimum(out, tmp, out=out)
 
 
 def _addmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -103,6 +136,17 @@ def _fold_axis0(x: np.ndarray) -> np.ndarray:
     return x[0]
 
 
+def _subtract_outer(m: np.ndarray, col: np.ndarray, row: np.ndarray, work) -> None:
+    """m -= col * row^T mod p in place, in one pass over m.
+
+    ``work`` is a pair of m-shaped uint64 scratch matrices.  col and row
+    may be views of m: ``_mulmod`` splits them before m is written.
+    """
+    prod, tmp = work
+    _mulmod(col[:, None], row[None, :], prod, tmp)
+    _submod(m, prod, m, prod)
+
+
 def _identity(size: int) -> np.ndarray:
     m = np.zeros((size, size), dtype=np.uint64)
     np.fill_diagonal(m, 1)
@@ -114,6 +158,7 @@ def matrix_inverse(mat: np.ndarray) -> np.ndarray:
     size = mat.shape[0]
     a = mat.astype(np.uint64) % _P
     inv = _identity(size)
+    work = (np.empty_like(a), np.empty_like(a))
     for col in range(size):
         piv = col
         while piv < size and a[piv, col] == 0:
@@ -128,15 +173,20 @@ def matrix_inverse(mat: np.ndarray) -> np.ndarray:
         inv[col] = _mulmod(inv[col], scale)
         factors = a[:, col].copy()
         factors[col] = 0
-        a = _submod(a, _mulmod(factors[:, None], a[col][None, :]))
-        inv = _submod(inv, _mulmod(factors[:, None], inv[col][None, :]))
+        # row col itself meets a zero factor, so it stays as scaled
+        _subtract_outer(a, factors, a[col], work)
+        _subtract_outer(inv, factors, inv[col], work)
     return inv
 
 
 class InverseState:
-    """Explicit matrix inverse under rank-1 and row replacements mod p."""
+    """Explicit matrix inverse mod p under rank-1 updates along one line.
 
-    __slots__ = ("size", "m", "minv", "generation")
+    ``work`` holds the two size x size scratch matrices of the update pass.
+    They are allocated at the first pass and never pickled.
+    """
+
+    __slots__ = ("size", "m", "minv", "generation", "work")
 
     def __init__(self, size: int) -> None:
         size = _count(size, "inverse size")
@@ -151,26 +201,78 @@ class InverseState:
         self.m = _identity(size)
         self.minv = _identity(size)
         self.generation = 0
+        self.work = None
 
-    def rank1_update(self, i: int, j: int, delta: int) -> None:
-        """Add delta at entry (i, j), correcting the inverse in O(size^2)."""
-        delta %= FIELD_PRIME
-        if delta == 0:
+    def __getstate__(self):
+        return self.size, self.m, self.minv, self.generation
+
+    def __setstate__(self, state) -> None:
+        self.size, self.m, self.minv, self.generation = state
+        self.work = None
+
+    def rank1_update(self, i, j, delta) -> None:
+        """Add delta at entry (i, j), correcting the inverse in one O(size^2) pass.
+
+        One of i and j may instead be a list of indices, with delta the
+        list of their deltas: row i gains delta[k] at column j[k]
+        (M + e_i d^T), or column j gains delta[k] at row i[k] (M + c e_j^T).
+        Either change is rank 1, so with B = M^-1 Sherman-Morrison takes
+        the whole line at once, B - (B x)(y^T B) / (1 + y^T B x), and
+        combining the line's k rows or columns of B costs O(k*size).  A
+        zero denominator raises DenominatorZero and changes nothing.
+        """
+        deltas = delta if np.ndim(delta) else [delta]
+        rows = i if np.ndim(i) else [i] * len(deltas)
+        cols = j if np.ndim(j) else [j] * len(deltas)
+        line = [(a, b, d % FIELD_PRIME) for a, b, d in zip(rows, cols, deltas)]
+        line = [entry for entry in line if entry[2]]
+        if not line:
             return
-        denom = (1 + delta * int(self.minv[j, i])) % FIELD_PRIME
+        minv = self.minv
+        # y^T B x sums delta * B[col, row] over the line's entries
+        denom = (1 + sum(d * int(minv[b, a]) for a, b, d in line)) % FIELD_PRIME
         if denom == 0:
             raise DenominatorZero(f"update at ({i}, {j}) makes M singular")
-        self.m[i, j] = np.uint64((int(self.m[i, j]) + delta) % FIELD_PRIME)
-        factor = np.uint64(
-            delta * pow(denom, FIELD_PRIME - 2, FIELD_PRIME) % FIELD_PRIME
-        )
-        col = _mulmod(self.minv[:, i], factor)
-        self.minv = _submod(self.minv, _mulmod(col[:, None], self.minv[j][None, :]))
+        rows, cols, deltas = (list(t) for t in zip(*line))
+        for a, b, d in line:
+            self.m[a, b] = (int(self.m[a, b]) + d) % FIELD_PRIME
+        weights = np.array(deltas, dtype=np.uint64)[:, None]
+        if np.ndim(i):
+            # a column: B x = sum of delta * B[:, row], y^T B = B[j]
+            bx, ytb = _fold_axis0(_mulmod(minv.T[rows], weights)), minv[j]
+        else:
+            # a row: B x = B[:, i], y^T B = sum of delta * B[col]
+            bx, ytb = minv[:, i], _fold_axis0(_mulmod(minv[cols], weights))
+        factor = np.uint64(pow(denom, FIELD_PRIME - 2, FIELD_PRIME))
+        if self.work is None:
+            self.work = (np.empty_like(minv), np.empty_like(minv))
+        _subtract_outer(minv, _mulmod(bx, factor), ytb, self.work)
         self.generation += 1
+
+    def assign_entries(self, rows: list[int], cols: list[int], values: list[int]) -> None:
+        """Set M[rows[k], cols[k]] to values[k] at distinct positions.
+
+        The entries go in as lines, grouped by row or by column, whichever
+        makes fewer, each line one ``rank1_update`` in order of its first
+        entry.  A line with a zero denominator raises DenominatorZero; the
+        lines before it stay applied, it and the later ones do not.
+        """
+        by_row = len(set(rows)) <= len(set(cols))
+        lines: dict[int, tuple[list[int], list[int]]] = {}
+        for i, j, value in zip(rows, cols, values):
+            key, other = (i, j) if by_row else (j, i)
+            spots, deltas = lines.setdefault(key, ([], []))
+            spots.append(other)
+            deltas.append(value - int(self.m[i, j]))
+        for key, (spots, deltas) in lines.items():
+            if by_row:
+                self.rank1_update(key, spots, deltas)
+            else:
+                self.rank1_update(spots, key, deltas)
 
     def assign(self, i: int, j: int, value: int) -> None:
         """Set entry (i, j) of M to value, correcting the inverse in O(size^2)."""
-        self.rank1_update(i, j, value - int(self.m[i, j]))
+        self.assign_entries([i], [j], [value])
 
     def entry(self, i: int, j: int) -> int:
         return int(self.minv[i, j])
@@ -207,20 +309,26 @@ class AlgebraicDag:
         self.g = TimestampedGraph(n, acyclic=True)
         self._rng = random.Random(seed)
 
-    def _layered(self, e: int) -> tuple[Edge, Edge, Edge]:
-        n, u, v = self.n, self.g.e_tail[e], self.g.e_head[e]
-        return ((u, v), (u, n + v), (n + u, 2 * n + v))
+    def _layered(self, ids: list[int]) -> tuple[list[int], list[int]]:
+        """Rows and columns, 0-based, of the three entries of each edge in ids."""
+        n, tail, head = self.n, self.g.e_tail, self.g.e_head
+        rows: list[int] = []
+        cols: list[int] = []
+        for e in ids:
+            u, v = tail[e] - 1, head[e] - 1
+            rows += (u, u, n + u)
+            cols += (v, n + v, 2 * n + v)
+        return rows, cols
 
+    # every denominator is 1: no entry of B leads from a head back to a tail
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
-        for e in self.g.apply_insert_centered(center, new_edges):
-            for a, b in self._layered(e):
-                x = self._rng.randrange(1, FIELD_PRIME)
-                self.state.assign(a - 1, b - 1, FIELD_PRIME - x)
+        rows, cols = self._layered(self.g.apply_insert_centered(center, new_edges))
+        values = [FIELD_PRIME - self._rng.randrange(1, FIELD_PRIME) for _ in rows]
+        self.state.assign_entries(rows, cols, values)
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
-        for e in self.g.apply_delete(removed):
-            for a, b in self._layered(e):
-                self.state.assign(a - 1, b - 1, 0)
+        rows, cols = self._layered(self.g.apply_delete(removed))
+        self.state.assign_entries(rows, cols, [0] * len(rows))
 
     def is_redundant(self, x: int, y: int) -> bool:
         if type(x) is not int or type(y) is not int:
@@ -241,9 +349,11 @@ class AlgebraicGeneral:
         self.state = InverseState(n)
         self.g = TimestampedGraph(n)
         self._rng = random.Random(seed)
-        for v in range(n):
-            # the identity diagonal becomes a random self-loop
-            self.state.assign(v, v, self._rng.randrange(1, FIELD_PRIME))
+        # the identity diagonal becomes a random self-loop; M stays diagonal,
+        # so its inverse is read off entry by entry
+        loops = [self._rng.randrange(1, FIELD_PRIME) for _ in range(n)]
+        np.fill_diagonal(self.state.m, loops)
+        np.fill_diagonal(self.state.minv, [pow(x, -1, FIELD_PRIME) for x in loops])
 
     # ---- rebuild paths ----
 
@@ -253,6 +363,8 @@ class AlgebraicGeneral:
         Only a copy of M is resampled, so M and its inverse are committed
         together, once an inversion succeeds.
         """
+        # the pass's work matrices would only add to the inversion's peak
+        self.state.work = None
         m = self.state.m
         while True:
             try:
@@ -267,24 +379,26 @@ class AlgebraicGeneral:
         self.state.m, self.state.minv = m, minv
         self.state.generation += 1
 
-    def _write(self, e: int, value: int) -> None:
-        """Set edge e's entry of M; a zero denominator keeps it there and rebuilds."""
-        i, j = self.g.e_tail[e] - 1, self.g.e_head[e] - 1
+    def _assign(self, ids: list[int], values: list[int]) -> None:
+        """Set the entries of edges ids to values; a zero denominator writes
+        them all into M and rebuilds once."""
+        rows = [self.g.e_tail[e] - 1 for e in ids]
+        cols = [self.g.e_head[e] - 1 for e in ids]
         try:
-            self.state.assign(i, j, value)
+            self.state.assign_entries(rows, cols, values)
         except DenominatorZero:
-            self.state.m[i, j] = value
+            self.state.m[rows, cols] = values
             self._rebuild()
 
     # ---- updates ----
 
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
-        for e in self.g.apply_insert_centered(center, new_edges):
-            self._write(e, self._rng.randrange(1, FIELD_PRIME))
+        ids = self.g.apply_insert_centered(center, new_edges)
+        self._assign(ids, [self._rng.randrange(1, FIELD_PRIME) for _ in ids])
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
-        for e in self.g.apply_delete(removed):
-            self._write(e, 0)
+        ids = self.g.apply_delete(removed)
+        self._assign(ids, [0] * len(ids))
 
     # ---- redundancy ----
 

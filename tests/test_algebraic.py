@@ -1,5 +1,6 @@
 """Field arithmetic, maintained inverses, and the algebraic engines."""
 
+import pickle
 import random
 import tracemalloc
 
@@ -238,6 +239,127 @@ class TestInverseState:
         assert st_.full_product_is_identity()
 
 
+def random_state(size, seed):
+    """An InverseState whose M is dense and random."""
+    rng = random.Random(seed)
+    state = InverseState(size)
+    for i in range(size):
+        for j in range(size):
+            try:
+                state.rank1_update(i, j, rng.randrange(1, P))
+            except DenominatorZero:
+                continue
+    return state
+
+
+def copy_state(state):
+    twin = InverseState(state.size)
+    twin.m, twin.minv = state.m.copy(), state.minv.copy()
+    twin.generation = state.generation
+    return twin
+
+
+def line_call(state, axis, key, spots, deltas):
+    if axis == "row":
+        state.rank1_update(key, spots, deltas)
+    else:
+        state.rank1_update(spots, key, deltas)
+
+
+class TestLineUpdate:
+    @pytest.mark.parametrize("axis", ["row", "col"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shift", range(len(CORNERS)))
+    def test_line_matches_entries_and_fresh_inverse(self, axis, k, shift):
+        size = 6
+        base = random_state(size, 10 * k + shift)
+        line, entries = copy_state(base), copy_state(base)
+        key, spots = 4, [0, 2, 3, 5][:k]
+        deltas = [CORNERS[(shift + t) % len(CORNERS)] for t in range(k)]
+        line_call(line, axis, key, spots, deltas)
+        for spot, delta in zip(spots, deltas):
+            i, j = (key, spot) if axis == "row" else (spot, key)
+            entries.rank1_update(i, j, delta)
+        assert np.array_equal(line.m, entries.m)
+        assert np.array_equal(line.minv, entries.minv)
+        assert np.array_equal(line.minv, matrix_inverse(line.m))
+        assert line.generation == base.generation + (any(deltas) and 1)
+
+    @pytest.mark.parametrize("axis", ["row", "col"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_zero_denominator_line_changes_nothing(self, axis, k):
+        state = random_state(5, k)
+        key, spots = 1, [0, 2, 3, 4][:k]
+        # 1 + sum of delta * B[col, row] over the line; the last delta zeroes it
+        deltas = [CORNERS[2 + t % 3] for t in range(k - 1)]
+        pairs = [(key, s) if axis == "row" else (s, key) for s in spots]
+        acc = 1 + sum(d * state.entry(j, i) for d, (i, j) in zip(deltas, pairs))
+        i, j = pairs[-1]
+        deltas.append(-acc * pow(state.entry(j, i), -1, P) % P)
+        m0, inv0, generation = state.m.copy(), state.minv.copy(), state.generation
+        with pytest.raises(DenominatorZero):
+            line_call(state, axis, key, spots, deltas)
+        assert np.array_equal(state.m, m0)
+        assert np.array_equal(state.minv, inv0)
+        assert state.generation == generation
+
+    def test_entries_go_in_as_the_fewer_lines(self):
+        dag = AlgebraicDag(6, seed=2)
+        dag.insert_centered(1, [(1, 2), (1, 3), (1, 4)])
+        # rows 1 and n+1 hold every entry of an out-batch
+        assert dag.state.generation == 2
+        dag.insert_centered(5, [(2, 5), (3, 5), (4, 5)])
+        # the in-batch's columns 5, n+5, 2n+5 are fewer than its six rows
+        assert dag.state.generation == 5
+        dag.delete_edges([(1, 2), (1, 3)])
+        assert dag.state.generation == 7
+        assert_matrix_holds_live_edges(dag)
+        gen = AlgebraicGeneral(6, seed=2)
+        gen.insert_centered(3, [(3, 1), (3, 2), (4, 3), (3, 5)])
+        # row 3 takes three entries and row 4 the fourth
+        assert gen.state.generation == 2
+        assert_matrix_holds_live_edges(gen)
+
+    def test_batch_whose_second_line_hits_zero_rebuilds_once(self, monkeypatch):
+        eng = AlgebraicGeneral(3, seed=4)
+        ref = TrGeneral(3)
+        eng.insert_centered(2, [(2, 3)])
+        ref.insert_centered(2, [(2, 3)])
+        m = [[int(x) for x in row] for row in eng.state.m]
+        # the batch closes the cycle 1->2->3->1, and det M becomes
+        # l1*l2*l3 + a12*a23*a31, which this a31 makes zero
+        a12 = 5
+        a31 = -m[0][0] * m[1][1] * m[2][2] * pow(a12 * m[1][2], -1, P) % P
+        script = [a12, a31]
+        draw = eng._rng.randrange
+        monkeypatch.setattr(
+            eng._rng, "randrange", lambda *a: script.pop(0) if script else draw(*a)
+        )
+        rebuilds = []
+        rebuild = eng._rebuild
+        monkeypatch.setattr(eng, "_rebuild", lambda: rebuilds.append(1) or rebuild())
+        calls = []
+        line = InverseState.rank1_update
+
+        def count_lines(state, *args):
+            calls.append(args)
+            return line(state, *args)
+
+        monkeypatch.setattr(InverseState, "rank1_update", count_lines)
+        generation = eng.state.generation
+        eng.insert_centered(1, [(1, 2), (3, 1)])
+        ref.insert_centered(1, [(1, 2), (3, 1)])
+        # rows 0 and 2; the first line went in, the second raised
+        assert [args[0] for args in calls] == [0, 2]
+        assert rebuilds == [1]
+        assert eng.state.generation == generation + 2
+        assert not script
+        assert_matrix_holds_live_edges(eng)
+        assert eng.tr_edges() == ref.tr_edges()
+        for edge in eng.g.eid:
+            assert eng.is_redundant(*edge) == ref.is_redundant(*edge)
+
+
 class TestReductionGraph:
     def test_three_layer_translation(self):
         eng = AlgebraicDag(3)
@@ -394,13 +516,13 @@ class TestGeneralEngine:
         for center, batch in [(1, [(1, 2), (2, 1)]), (3, [(2, 3), (3, 4)])]:
             eng.insert_centered(center, batch)
             ref.insert_centered(center, batch)
-        assign = InverseState.assign
+        assign = InverseState.assign_entries
 
         def zero_once(state, i, j, value):
-            monkeypatch.setattr(InverseState, "assign", assign)
+            monkeypatch.setattr(InverseState, "assign_entries", assign)
             raise DenominatorZero("forced")
 
-        monkeypatch.setattr(InverseState, "assign", zero_once)
+        monkeypatch.setattr(InverseState, "assign_entries", zero_once)
         generation = eng.state.generation
         if zero_at == "insert":
             eng.insert_centered(4, [(4, 5)])
@@ -408,7 +530,7 @@ class TestGeneralEngine:
         else:
             eng.delete_edges([(2, 3)])
             ref.delete_edges([(2, 3)])
-        assert InverseState.assign is assign
+        assert InverseState.assign_entries is assign
         assert eng.state.generation == generation + 1
         assert_matrix_holds_live_edges(eng)
         assert eng.tr_edges() == ref.tr_edges()
@@ -507,6 +629,45 @@ class TestSizeGuard:
             tracemalloc.stop()
         assert len(tries) == 2
         assert max(peaks) <= algebraic._PEAK_MATRICES * size * size * 8
+
+
+class TestWorkMatrices:
+    size = 200
+    batch = [(5, 6), (7, 5), (5, 8)]
+
+    def warmed(self):
+        eng = AlgebraicGeneral(self.size, seed=1)
+        for c in range(1, 40, 3):
+            eng.insert_centered(c, [(c, c + 1), (c + 2, c), (c, c + 5)])
+        assert eng.state.work is not None
+        return eng
+
+    def test_updates_allocate_no_matrix(self):
+        eng = self.warmed()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            eng.insert_centered(5, self.batch)
+            eng.delete_edges(self.batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < self.size * self.size * 8
+
+    def test_pickle_leaves_them_out(self):
+        eng = self.warmed()
+        blob = pickle.dumps(eng, protocol=pickle.HIGHEST_PROTOCOL)
+        twin = pickle.loads(blob)
+        assert twin.state.work is None
+        # m and minv, not the two work matrices besides
+        assert len(blob) < 3 * self.size * self.size * 8
+        for e in (eng, twin):
+            e.insert_centered(5, self.batch)
+            e.delete_edges([(1, 2), (3, 1)])
+        assert twin.state.work is not None
+        assert np.array_equal(twin.state.m, eng.state.m)
+        assert np.array_equal(twin.state.minv, eng.state.minv)
+        assert twin.tr_edges() == eng.tr_edges()
 
 
 @st.composite
