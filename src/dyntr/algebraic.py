@@ -34,14 +34,13 @@ subtraction reduce it.
 
 from __future__ import annotations
 
-import os
 import random
 from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DenominatorZero, MissingEdge, SingularMatrix, TooLarge
-from .graph_core import Edge, TimestampedGraph, _count, _vertex
+from .errors import DenominatorZero, MissingEdge, SingularMatrix
+from .graph_core import Edge, TimestampedGraph, _count, _fit_in_memory, _vertex
 # minimal_scss stays bound here too: the benchmark's layer trace wraps it
 from .tr_general import general_reduction, minimal_scss  # noqa: F401
 
@@ -182,6 +181,7 @@ def matrix_inverse(mat: np.ndarray) -> np.ndarray:
 class InverseState:
     """Explicit matrix inverse mod p under rank-1 updates along one line.
 
+    ``generation`` counts the O(size^2) passes made over the inverse.
     ``work`` holds the two size x size scratch matrices of the update pass.
     They are allocated at the first pass and never pickled.
     """
@@ -190,13 +190,7 @@ class InverseState:
 
     def __init__(self, size: int) -> None:
         size = _count(size, "inverse size")
-        need = _PEAK_MATRICES * size * size * 8
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise TooLarge(
-                f"a {size}x{size} inverse needs about {need >> 20} MiB, "
-                f"more than the {have >> 20} MiB of physical memory"
-            )
+        _fit_in_memory(_PEAK_MATRICES * size * size * 8, f"a {size}x{size} inverse")
         self.size = size
         self.m = _identity(size)
         self.minv = _identity(size)
@@ -269,10 +263,6 @@ class InverseState:
                 self.rank1_update(key, spots, deltas)
             else:
                 self.rank1_update(spots, key, deltas)
-
-    def assign(self, i: int, j: int, value: int) -> None:
-        """Set entry (i, j) of M to value, correcting the inverse in O(size^2)."""
-        self.assign_entries([i], [j], [value])
 
     def entry(self, i: int, j: int) -> int:
         return int(self.minv[i, j])
@@ -367,6 +357,9 @@ class AlgebraicGeneral:
         self.state.work = None
         m = self.state.m
         while True:
+            # two passes per column; a call that meets a singular M, with
+            # chance below size/p, stops earlier and is counted the same
+            self.state.generation += 2 * self.state.size
             try:
                 minv = matrix_inverse(m)
                 break
@@ -377,7 +370,6 @@ class AlgebraicGeneral:
                     nz = np.flatnonzero(row)
                     row[nz] = [self._rng.randrange(1, FIELD_PRIME) for _ in nz]
         self.state.m, self.state.minv = m, minv
-        self.state.generation += 1
 
     def _assign(self, ids: list[int], values: list[int]) -> None:
         """Set the entries of edges ids to values; a zero denominator writes

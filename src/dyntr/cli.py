@@ -177,8 +177,8 @@ def _elementary_ops(eng) -> int:
         return counter
     state = getattr(eng, "state", None)
     if state is not None:
-        # each pass, one row or column of an update or one rebuild,
-        # touches every entry of the inverse
+        # each pass, one row or column of an update or one of the 2n
+        # an inversion makes, touches every entry of the inverse
         return state.generation * state.size * state.size
     return 0
 

@@ -57,7 +57,7 @@ class DenominatorZero(DynTrError):
 
 
 class TooLarge(DynTrError):
-    """An engine's matrices would not fit in physical memory."""
+    """An engine's arrays would not fit in physical memory."""
 
 
 class ParseError(DynTrError):

@@ -33,21 +33,34 @@ Engines walk the lists through two *orientations*, built once per graph:
 in_nxt, e_tail, e_head)``.  An orientation ``(first, nxt, far, near)``
 names the lists to walk and, for an edge on the list of v, its endpoint
 away from v and at v.  The graph changes those lists only in place, so
-the tuples stay current.  ``has_detour`` is the one reach probe over
-the live out-lists.
+the tuples stay current.  Every list is doubly linked, and ``_attach``
+and ``_detach`` are its one append and one splice, each called once on
+an edge's out-list and once on its in-list.  ``has_detour`` is the one
+reach probe over the live out-lists.
+
+``_fit_in_memory`` is the one resource check: each engine asks it, with
+its measured construction peak, before its first O(n) or larger
+allocation, so a size that cannot fit raises ``TooLarge``.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import BadUpdate, CycleCreated, DuplicateEdge, MissingEdge, NotIncident
+from .errors import (
+    BadUpdate, CycleCreated, DuplicateEdge, MissingEdge, NotIncident, TooLarge
+)
 
 Edge = tuple[int, int]
 
 NIL = -1
+
+# construction peak per vertex, by tracemalloc at n = 200,000: five lists
+# of 8-byte slots
+_BYTES_PER_VERTEX = 40
 
 
 @dataclass(frozen=True)
@@ -96,6 +109,7 @@ class TimestampedGraph:
 
     def __init__(self, n: int, *, acyclic: bool = False) -> None:
         self.n = n = _count(n, "vertex count")
+        _fit_in_memory(_BYTES_PER_VERTEX * n, f"a graph on {n} vertices")
         self.acyclic = acyclic
         self.m = 0
         self.last_ts = 0
@@ -202,49 +216,43 @@ class TimestampedGraph:
         self.e_head.append(head)
         self.e_ts.append(stamp)
         self.e_live.append(1)
-        last = self.out_last[tail]
-        self.out_prv.append(last)
-        self.out_nxt.append(NIL)
-        if last == NIL:
-            self.out_first[tail] = e
-        else:
-            self.out_nxt[last] = e
-        self.out_last[tail] = e
-        last = self.in_last[head]
-        self.in_prv.append(last)
-        self.in_nxt.append(NIL)
-        if last == NIL:
-            self.in_first[head] = e
-        else:
-            self.in_nxt[last] = e
-        self.in_last[head] = e
+        _attach(self.out_first, self.out_last, self.out_nxt, self.out_prv, tail, e)
+        _attach(self.in_first, self.in_last, self.in_nxt, self.in_prv, head, e)
         self.eid[(tail, head)] = e
         self.m += 1
 
     def _unlink(self, e: int) -> None:
-        # the dead edge keeps its own nxt/prv so stale cursors can advance
         tail, head = self.e_tail[e], self.e_head[e]
         self.e_live[e] = 0
-        p, x = self.out_prv[e], self.out_nxt[e]
-        if p == NIL:
-            self.out_first[tail] = x
-        else:
-            self.out_nxt[p] = x
-        if x == NIL:
-            self.out_last[tail] = p
-        else:
-            self.out_prv[x] = p
-        p, x = self.in_prv[e], self.in_nxt[e]
-        if p == NIL:
-            self.in_first[head] = x
-        else:
-            self.in_nxt[p] = x
-        if x == NIL:
-            self.in_last[head] = p
-        else:
-            self.in_prv[x] = p
+        _detach(self.out_first, self.out_last, self.out_nxt, self.out_prv, tail, e)
+        _detach(self.in_first, self.in_last, self.in_nxt, self.in_prv, head, e)
         del self.eid[(tail, head)]
         self.m -= 1
+
+
+def _attach(first: list, last: list, nxt: list, prv: list, v: int, e: int) -> None:
+    """Append the new edge ``e``, the next id, to the back of v's list."""
+    end = last[v]
+    prv.append(end)
+    nxt.append(NIL)
+    if end == NIL:
+        first[v] = e
+    else:
+        nxt[end] = e
+    last[v] = e
+
+
+def _detach(first: list, last: list, nxt: list, prv: list, v: int, e: int) -> None:
+    """Splice ``e`` out of v's list; it keeps its nxt/prv for stale cursors."""
+    p, x = prv[e], nxt[e]
+    if p == NIL:
+        first[v] = x
+    else:
+        nxt[p] = x
+    if x == NIL:
+        last[v] = p
+    else:
+        prv[x] = p
 
 
 def _vertex(v: object) -> int:
@@ -266,6 +274,16 @@ def _count(n: object, what: str) -> int:
     if n < 1:
         raise BadUpdate(f"{what} must be positive, got {n}")
     return n
+
+
+def _fit_in_memory(need: int, what: str) -> None:
+    """``TooLarge`` unless ``need`` bytes fit in physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise TooLarge(
+            f"{what} needs about {need >> 20} MiB, "
+            f"more than the {have >> 20} MiB of physical memory"
+        )
 
 
 def _batch(edges: object) -> list:

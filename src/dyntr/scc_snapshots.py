@@ -14,12 +14,13 @@ A deletion replaces the view of every snapshot that held a removed
 edge.  A side whose tree lost no edge is carried over unchanged: the
 tree still spans the same set in the smaller snapshot, and a subgraph
 cannot reach more (Even and Shiloach, 1981).  A side whose tree lost
-edges repairs the tree first: each vertex that lost its parent edge
-takes a live snapshot edge from a reached vertex whose tree path to the
-root avoids every vertex still waiting for a parent.  When every lost
-vertex finds one, each old tree path is rerouted over live edges, so the
-reached set is unchanged and only the parent array is new.  Only a side
-where some lost vertex finds no parent is searched again.
+edges repairs the tree first, in one pass in the order the edges were
+removed: each vertex that lost its parent edge takes a live snapshot
+edge from a reached vertex whose tree path to the root avoids every
+vertex still waiting for a parent.  When every lost vertex finds one,
+each old tree path is rerouted over live edges, so the reached set is
+unchanged and only the parent array is new.  A side where some lost
+vertex finds no parent in that one pass is searched again.
 
 A global table of parallel edge groups is kept alongside, on the current
 graph: all live edges joining the same ordered pair of components form
@@ -132,9 +133,10 @@ def _reparent(
     edge is in ``hit`` takes the first live snapshot edge from a reached
     vertex whose tree path to ``root`` avoids every vertex still waiting
     for a parent; that path can no longer change, so the tree stays
-    acyclic and spans the same reached set.  ``par`` is returned as it is
-    when no tree edge was hit, else as a repaired copy; the result is
-    ``None`` when some lost vertex found no parent.
+    acyclic and spans the same reached set.  Each lost vertex is tried
+    once, in ``hit`` order.  ``par`` is returned as it is when no tree
+    edge was hit, else as a repaired copy; the result is ``None`` as soon
+    as a lost vertex finds no parent.
     """
     reached, par = side
     first, nxt, far, near = back
@@ -146,26 +148,21 @@ def _reparent(
     waiting = bytearray(g.n + 1)
     for v in lost:
         waiting[v] = 1
-    while lost:
-        left = []
-        for v in lost:
-            e = first[v]
-            while e != NIL and e_ts[e] <= limit:
-                u = far[e]
-                if reached[u]:
-                    w = u
-                    while w != root and not waiting[w]:
-                        w = far[par[w]]
-                    if w == root:
-                        par[v] = e
-                        waiting[v] = 0
-                        break
-                e = nxt[e]
-            else:
-                left.append(v)
-        if len(left) == len(lost):
+    for v in lost:
+        e = first[v]
+        while e != NIL and e_ts[e] <= limit:
+            u = far[e]
+            if reached[u]:
+                w = u
+                while w != root and not waiting[w]:
+                    w = far[par[w]]
+                if w == root:
+                    par[v] = e
+                    waiting[v] = 0
+                    break
+            e = nxt[e]
+        else:
             return None
-        lost = left
     return reached, par
 
 
@@ -281,13 +278,12 @@ class SccSnapshots:
         which of them lie on a cycle: (t, h), with t or h the root, does
         iff the root reaches t and h reaches the root.  Only such an edge
         between two components merges components, and only then is the
-        table recomputed.  Any other new edge between components joins
-        the back of its group, or opens one.
+        whole table recomputed.  Until then, each new edge between
+        components joins the back of its group, or opens one.
         """
         view = self.views[root] = self._build_view(root)
         g, comp, groups = self.g, self.comp_cur, self.groups
         e_ts, e_tail, e_head = g.e_ts, g.e_tail, g.e_head
-        joined = []
         # ids follow age, so e_ts is sorted
         for e in range(bisect_left(e_ts, g.center_ts[root]), len(e_ts)):
             t, h = e_tail[e], e_head[e]
@@ -295,11 +291,9 @@ class SccSnapshots:
                 if view.desc[t] and view.anc[h]:
                     self.refresh_groups()
                     return
-                joined.append((t, h))
-        for t, h in joined:
-            key = (comp[t], comp[h])
-            group = groups.get(key)
-            groups[key] = ParallelGroup((group.members if group else ()) + ((t, h),))
+                key = (comp[t], comp[h])
+                group = groups.get(key)
+                groups[key] = ParallelGroup((group.members if group else ()) + ((t, h),))
 
     # ---- deletion ----
 

@@ -110,28 +110,22 @@ class TrDag:
             while e != NIL:
                 ops += 1
                 y = e_head[e]
-                if desc_new[y] and y != center:
-                    if e_ts[e] <= old_limit:
-                        # visible before: charge only a detour that just appeared
-                        if not (anc_old[x] and desc_old[y]):
-                            count[e] += 1
-                            touched.append(e)
-                    else:
-                        count[e] += 1
-                        touched.append(e)
+                # an edge visible before is charged only for a new detour
+                if desc_new[y] and y != center and (
+                    e_ts[e] > old_limit or not (anc_old[x] and desc_old[y])
+                ):
+                    count[e] += 1
+                    touched.append(e)
                 e = out_nxt[e]
-        e = out_first[center]
-        while e != NIL:
-            ops += 1
-            tx[e] = 1 if st.in_query(e_head[e]) else 0
-            touched.append(e)
-            e = out_nxt[e]
-        e = g.in_first[center]
-        while e != NIL:
-            ops += 1
-            ty[e] = 1 if st.out_query(e_tail[e]) else 0
-            touched.append(e)
-            e = g.in_nxt[e]
+        # the center's out-edges get tx, its in-edges ty
+        witness = ((g.fwd, tx, st.in_query), (g.bwd, ty, st.out_query))
+        for (first, nxt, far, _), bits, query in witness:
+            e = first[center]
+            while e != NIL:
+                ops += 1
+                bits[e] = 1 if query(far[e]) else 0
+                touched.append(e)
+                e = nxt[e]
         # fresh edges also get their far-side witness, read from the far
         # endpoint's state so the bits always match their definitions
         for e in fresh:

@@ -23,8 +23,12 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import BadUpdate, MissingEdge, NotStronglyConnected
-from .graph_core import Edge, TimestampedGraph, _vertex, has_detour
+from .graph_core import Edge, TimestampedGraph, _count, _fit_in_memory, _vertex, has_detour
 from .scc_snapshots import SccSnapshots, split_edges
+
+# construction peak per vertex, by tracemalloc at n = 200,000: the graph,
+# the component list and the first condensation
+_BYTES_PER_VERTEX = 169
 
 
 def _reached(adj: dict[int, set[int]], src: int) -> set[int]:
@@ -165,6 +169,8 @@ class TrGeneral:
     """
 
     def __init__(self, n: int) -> None:
+        n = _count(n, "vertex count")
+        _fit_in_memory(_BYTES_PER_VERTEX * n, f"TrGeneral on {n} vertices")
         self.g = TimestampedGraph(n)
         self.scc = SccSnapshots(self.g)
         self.count: dict[Edge, int] = {}

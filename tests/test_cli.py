@@ -33,6 +33,7 @@ from dyntr.errors import (
     MissingEdge,
     ParseError,
     StreamCheckError,
+    TooLarge,
 )
 from dyntr.graph_core import DeleteSet, InsertCentered
 from dyntr.oracle import random_update_stream, validity_triple
@@ -44,6 +45,9 @@ PROPERTY_SETTINGS = settings(
 )
 
 D3_STREAM = "dtr v1 n=3 mode=dag\nins 1 1 2 1 3\nins 3 3 2\ntr\nred 1 2\n"
+# the cycle 1 -> 2 -> 3 -> 1 plus the chord (2, 1), which the first tr
+# drops; deleting (2, 3) then leaves the cycle 1 -> 2 -> 1 and (3, 1)
+G3_STREAM = "dtr v1 n=3 mode=general\nins 1 1 2 3 1\nins 2 2 1 2 3\ntr\ndel 2 3\ntr\n"
 
 
 class TestParse:
@@ -66,6 +70,11 @@ class TestParse:
     def test_bad_version_token(self):
         with pytest.raises(ParseError):
             parse_stream("dtr v2 n=3 mode=dag\n")
+
+    def test_vertex_count_zero_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_stream("dtr v1 n=0 mode=dag\n")
+        assert err.value.line_no == 1
 
     def test_bad_mode(self):
         with pytest.raises(ParseError):
@@ -92,6 +101,11 @@ class TestParse:
     def test_ins_without_edges(self):
         with pytest.raises(ParseError):
             parse_stream("dtr v1 n=3 mode=dag\nins 1\n")
+
+    def test_del_without_edges(self):
+        with pytest.raises(ParseError) as err:
+            parse_stream("dtr v1 n=3 mode=dag\ndel\n")
+        assert err.value.line_no == 2
 
     def test_del_odd_tokens(self):
         with pytest.raises(ParseError):
@@ -218,6 +232,21 @@ class TestRunStream:
         assert "check mismatch at line 2" in message
         assert "dtr v1 n=3 mode=dag\nins 1 1 2 1 3" in message
 
+    @pytest.mark.parametrize("engine", ["comb", "alg", "oracle"])
+    def test_check_passes_on_a_general_stream(self, engine):
+        out = run_stream(G3_STREAM, engine=engine, check=True)
+        assert out == "tr m=3\n1 2\n2 3\n3 1\ntr m=3\n1 2\n2 1\n3 1\n"
+
+    def test_general_check_mismatch_dumps_reproducer(self, monkeypatch):
+        monkeypatch.setattr(cli, "validity_triple", lambda n, live, got: "forced")
+        with pytest.raises(StreamCheckError) as err:
+            run_stream(G3_STREAM, check=True)
+        message = str(err.value)
+        assert "check mismatch at line 2: forced" in message
+        assert message.endswith(
+            "--- reproducer stream ---\ndtr v1 n=3 mode=general\nins 1 1 2 3 1"
+        )
+
     def test_stats_rows(self, tmp_path):
         path = tmp_path / "stats.csv"
         run_stream(
@@ -320,6 +349,24 @@ class TestMain:
         assert cli.main(["run", str(path), "--engine", "alg"]) == 2
         assert "engine error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["dag", "general"])
+    def test_vertex_count_past_memory_exits_two(self, tmp_path, capsys, mode):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"dtr v1 n={10**12} mode={mode}\ntr\n", encoding="utf-8")
+        out = tmp_path / "b.csv"
+        assert cli.main(["run", str(path)]) == 2
+        args = ["bench", "--n", str(10**12), "--steps", "1", "--mode", mode]
+        assert cli.main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("engine error") == 2
+        assert not out.exists()
+
+    def test_general_check_mismatch_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "validity_triple", lambda n, live, got: "forced")
+        path = tmp_path / "s.txt"
+        path.write_text(G3_STREAM, encoding="utf-8")
+        assert cli.main(["run", str(path), "--check"]) == 3
+        assert "reproducer" in capsys.readouterr().err
+
     def test_check_mismatch_exits_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "brute_tr_dag", lambda n, edges: set())
         path = tmp_path / "s.txt"
@@ -401,6 +448,13 @@ def test_unknown_mode_or_engine_is_a_bad_update(call):
 def test_vertex_count_below_one_is_a_dyntr_error(mode, engine, n):
     with pytest.raises(BadUpdate, match="must be positive"):
         make_engine(mode, engine, n)
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES + ORACLES)
+def test_vertex_count_past_memory_is_too_large(mode, engine):
+    # checked before any per-vertex array is allocated
+    with pytest.raises(TooLarge, match="physical memory"):
+        make_engine(mode, engine, 10**12)
 
 
 @pytest.mark.parametrize("n", [2.0, "3", None])

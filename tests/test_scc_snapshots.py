@@ -416,29 +416,36 @@ def test_parent_edges_form_live_snapshot_trees(case):
     "batches,removed,rebuilt",
     [
         # 2 keeps the edge (3, 2) from outside its subtree
-        ([(3, [(3, 2)]), (1, [(1, 2), (1, 3)])], (1, 2), []),
+        ([(3, [(3, 2)]), (1, [(1, 2), (1, 3)])], [(1, 2)], []),
         # (1, 3) was the last snapshot edge into 3
-        ([(3, [(3, 2)]), (1, [(1, 2), (1, 3)])], (1, 3), [1]),
+        ([(3, [(3, 2)]), (1, [(1, 2), (1, 3)])], [(1, 3)], [1]),
         # the other edge into 2 comes from 2's own subtree
-        ([(2, [(2, 3), (3, 2)]), (1, [(1, 2)])], (1, 2), [1]),
+        ([(2, [(2, 3), (3, 2)]), (1, [(1, 2)])], [(1, 2)], [1]),
+        # 2 can only re-attach through 3, which is still waiting when 2 is
+        # tried: the one repair pass fails and the side is searched
+        (
+            [(3, [(3, 2)]), (4, [(4, 3)]), (1, [(1, 2), (1, 3), (1, 4)])],
+            [(1, 2), (1, 3)],
+            [1],
+        ),
     ],
-    ids=["reparented", "last-edge", "own-subtree"],
+    ids=["reparented", "last-edge", "own-subtree", "one-pass"],
 )
 def test_lost_tree_edge_is_reparented_or_searched(
     monkeypatch, mirror, batches, removed, rebuilt
 ):
-    # root 1 reaches 2 through the removed edge; mirrored, every edge is
+    # root 1 reaches 2 through a removed edge; mirrored, every edge is
     # reversed, so the same holds for root 1's in-tree
     def orient(edge):
         return edge[::-1] if mirror else edge
 
-    g = TimestampedGraph(3)
+    g = TimestampedGraph(4)
     scc = SccSnapshots(g)
     for center, batch in batches:
         g.apply_insert_centered(center, [orient(e) for e in batch])
         scc.rebuild(center)
     built = spy(monkeypatch, "_build_view")
-    scc.delete(g.apply_delete([orient(removed)]))
+    scc.delete(g.apply_delete([orient(e) for e in removed]))
     assert built == rebuilt
     assert_views_exact(g, scc)
 
