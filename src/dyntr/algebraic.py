@@ -57,8 +57,9 @@ _ONE = np.uint64(1)
 # size x size uint64 arrays alive at the peak, m and minv included, by
 # tracemalloc at size 200: 4.5 in the first pass (two of them the work
 # matrices it keeps), 6.5 in a _rebuild that inverts at once, 7.5 in one
-# that resamples a copy of M first
-_PEAK_MATRICES = 10
+# that resamples a copy of M first; the guard takes the next whole matrix
+# above the highest (7.2 at size 300, where fixed overheads weigh less)
+_PEAK_MATRICES = 8
 
 
 def _reduce(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:

@@ -372,6 +372,11 @@ def main(argv: list[str] | None = None) -> int:
     except DynTrError as ex:
         print(f"engine error: {ex}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # a size that passes the physical-memory check can still fail
+        # under a lower address-space cap
+        print("engine error: out of memory for this stream's size", file=sys.stderr)
+        return 2
     except OSError as ex:
         print(f"io error: {ex}", file=sys.stderr)
         return 2

@@ -16,6 +16,12 @@ inside one component with the ``has_detour`` path probe of
 ``graph_core``.  ``general_reduction`` splits the live edges by
 component with ``split_edges`` of ``scc_snapshots``, the split that also
 builds the parallel-group table.
+
+The engine keeps its inter-component ledgers as counters over the
+per-root snapshot views.  An update adjusts them by the share of each
+view it replaced, which it reads off the objects ``SccSnapshots``
+swaps in; only an update that changes the condensation, and with it
+every component label, recounts all views.
 """
 
 from __future__ import annotations
@@ -24,11 +30,15 @@ from collections.abc import Callable, Iterable, Sequence
 
 from .errors import BadUpdate, MissingEdge, NotStronglyConnected
 from .graph_core import Edge, TimestampedGraph, _count, _fit_in_memory, _vertex, has_detour
-from .scc_snapshots import SccSnapshots, split_edges
+from .scc_snapshots import SccSnapshots, _RootView, split_edges
 
 # construction peak per vertex, by tracemalloc at n = 200,000: the graph,
 # the component list and the first condensation
 _BYTES_PER_VERTEX = 169
+
+# an edge between components: (tail, head, timestamp, tail component,
+# head component)
+_Row = tuple[int, int, int, int, int]
 
 
 def _reached(adj: dict[int, set[int]], src: int) -> set[int]:
@@ -158,14 +168,20 @@ class TrGeneral:
     Inter-component edges carry the same three ledgers as the DAG engine,
     but every component membership test is taken in the current graph and
     the witness roots range over all centered vertices sharing the
-    relevant endpoint component.  The ledgers are re-aggregated from the
-    per-root snapshot views after every update, over the inter-component
-    edges only, read off the group table: one sweep per view counts the
-    edges it covers and marks which (root component, target component)
-    pairs have an in- or out-witness, then each inter-component edge
-    reads its two witness bits off those tables.  The reduction is the
-    union of the per-component minimal strongly connected subsets and the
-    marked group representatives whose ledgers are all zero.
+    relevant endpoint component.  The ledgers are counters over the
+    per-root snapshot views: ``count[e]`` per inter-component edge, and
+    ``n_in``/``n_out``, keyed by (root component, component), which count
+    the (view, edge) witnesses of an edge entering or leaving a component.
+    An edge from component ct to ch has ``tx`` iff ``n_in[(ct, ch)] > 0``
+    and ``ty`` iff ``n_out[(ch, ct)] > 0``.  With the condensation
+    unchanged, an insertion swaps the center's old view for its new one,
+    the only view that holds the new edges; a deletion takes the removed
+    edges' shares out under the old views, then swaps each view with a
+    side that was searched again (a re-parented side keeps its reached
+    set).  A new condensation moves every label, so the full pass counts
+    all views afresh.  The reduction is the union of the per-component
+    minimal strongly connected subsets and the marked group
+    representatives whose ledgers are all zero.
     """
 
     def __init__(self, n: int) -> None:
@@ -173,57 +189,111 @@ class TrGeneral:
         _fit_in_memory(_BYTES_PER_VERTEX * n, f"TrGeneral on {n} vertices")
         self.g = TimestampedGraph(n)
         self.scc = SccSnapshots(self.g)
-        self.count: dict[Edge, int] = {}
-        self.tx: dict[Edge, bool] = {}
-        self.ty: dict[Edge, bool] = {}
+        self._full_pass()
 
     # ---- updates ----
 
     def insert_centered(self, center: int, new_edges: Iterable[Edge]) -> None:
-        self.g.apply_insert_centered(center, new_edges)
-        self.scc.rebuild(center)
-        self._reaggregate()
+        ids = self.g.apply_insert_centered(center, new_edges)
+        scc, comp = self.scc, self.scc.comp_cur
+        old = scc.views.get(center)
+        scc.rebuild(center)
+        if scc.comp_cur is not comp:
+            self._full_pass()
+            return
+        for t, h, _, _, _ in self._rows(ids):
+            self.count[(t, h)] = 0
+        inter = self._inter_edges()
+        # the new edges carry the newest stamp, so no other view holds them
+        if old is not None:
+            self._contribute(old, inter, -1)
+        self._contribute(scc.views[center], inter, 1)
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
         ids = self.g.apply_delete(removed)
-        self.scc.delete(ids)
-        self._reaggregate()
-
-    def _reaggregate(self) -> None:
-        comp = self.scc.comp_cur
-        e_ts, eid = self.g.e_ts, self.g.eid
-        inter = [
-            (t, h, e_ts[eid[(t, h)]], ct, ch)
-            for (ct, ch), group in self.scc.groups.items()
-            for t, h in group.members
+        scc, comp = self.scc, self.scc.comp_cur
+        old_views = dict(scc.views)
+        scc.delete(ids)
+        if scc.comp_cur is not comp:
+            self._full_pass()
+            return
+        gone = self._rows(ids)
+        if gone:
+            for view in old_views.values():
+                self._contribute(view, gone, -1)
+            for t, h, _, _, _ in gone:
+                del self.count[(t, h)]
+        # a re-parented side keeps its reached array, so only a side that
+        # was searched again moves the ledgers
+        swapped = [
+            (old_views[root], view)
+            for root, view in scc.views.items()
+            if view.desc is not old_views[root].desc or view.anc is not old_views[root].anc
         ]
-        counts = [0] * len(inter)
-        met_in: set[tuple[int, int]] = set()
-        met_out: set[tuple[int, int]] = set()
-        for root, view in self.scc.views.items():
-            r = comp[root]
-            desc, anc, limit = view.desc, view.anc, view.limit
-            for i, (t, h, ts, ct, ch) in enumerate(inter):
-                if ts > limit:
-                    continue
-                if ct != r and desc[t]:
-                    met_in.add((r, ch))
-                if ch != r and anc[h]:
-                    met_out.add((r, ct))
-                if ct != r and ch != r and anc[t] and desc[h]:
-                    counts[i] += 1
-        self.count = {(t, h): c for (t, h, _, _, _), c in zip(inter, counts)}
-        self.tx = {(t, h): (ct, ch) in met_in for t, h, _, ct, ch in inter}
-        self.ty = {(t, h): (ch, ct) in met_out for t, h, _, ct, ch in inter}
+        if swapped:
+            inter = self._inter_edges()
+            for old, view in swapped:
+                self._contribute(old, inter, -1)
+                self._contribute(view, inter, 1)
+
+    def _rows(self, ids: Iterable[int]) -> list[_Row]:
+        """The row of each edge among ``ids`` that joins two components."""
+        g, comp = self.g, self.scc.comp_cur
+        rows: list[_Row] = []
+        for e in ids:
+            t, h = g.e_tail[e], g.e_head[e]
+            if comp[t] != comp[h]:
+                rows.append((t, h, g.e_ts[e], comp[t], comp[h]))
+        return rows
+
+    def _inter_edges(self) -> list[_Row]:
+        """The rows of every live edge between components, read off the
+        group table."""
+        eid = self.g.eid
+        return self._rows([eid[m] for group in self.scc.groups.values() for m in group.members])
+
+    def _full_pass(self) -> None:
+        """Count every view afresh, on a new condensation."""
+        inter = self._inter_edges()
+        self.count: dict[Edge, int] = {(t, h): 0 for t, h, _, _, _ in inter}
+        self.n_in: dict[tuple[int, int], int] = {}
+        self.n_out: dict[tuple[int, int], int] = {}
+        for view in self.scc.views.values():
+            self._contribute(view, inter, 1)
+
+    def _contribute(self, view: _RootView, inter: list[_Row], sign: int) -> None:
+        """Add (``sign`` 1) or remove (-1) one view's share over ``inter``.
+
+        An edge (t, h) of the view's snapshot, from component ct to ch,
+        with r the root's component: t reached from the root is an
+        in-witness for (r, ch) when ct != r; h reaching the root is an
+        out-witness for (r, ct) when ch != r; and the root counts the edge
+        when it lies outside both components and its tail is an ancestor
+        and its head a descendant.
+        """
+        r = self.scc.comp_cur[view.root]
+        desc, anc, limit = view.desc, view.anc, view.limit
+        count, n_in, n_out = self.count, self.n_in, self.n_out
+        for t, h, ts, ct, ch in inter:
+            if ts > limit:
+                continue
+            if ct != r:
+                if desc[t]:
+                    n_in[(r, ch)] = n_in.get((r, ch), 0) + sign
+                if ch != r and anc[t] and desc[h]:
+                    count[(t, h)] += sign
+            if ch != r and anc[h]:
+                n_out[(r, ct)] = n_out.get((r, ct), 0) + sign
 
     # ---- queries ----
 
-    def tr_edges(self) -> list[Edge]:
-        count, tx, ty = self.count, self.tx, self.ty
+    def _zero(self, e: Edge, ct: int, ch: int) -> bool:
+        """True iff all three ledgers of ``e``, from component ct to ch, are zero."""
+        return not (self.count[e] or self.n_in.get((ct, ch)) or self.n_out.get((ch, ct)))
 
+    def tr_edges(self) -> list[Edge]:
         def keep_group(members: list[Edge], cf: int, ct: int) -> bool:
-            e = members[0]
-            return count[e] == 0 and not tx[e] and not ty[e]
+            return self._zero(members[0], cf, ct)
 
         return general_reduction(self.g, self.scc.comp_cur, keep_group)
 
@@ -233,12 +303,14 @@ class TrGeneral:
         if (x, y) not in self.g.eid:
             raise MissingEdge(f"edge ({x}, {y}) is not live")
         comp = self.scc.comp_cur
-        if comp[x] == comp[y]:
+        cx, cy = comp[x], comp[y]
+        if cx == cy:
             return has_detour(self.g, x, y)
-        e = (x, y)
-        group = self.scc.groups[(comp[x], comp[y])]
-        return bool(group.size > 1 or self.count[e] or self.tx[e] or self.ty[e])
+        return self.scc.groups[(cx, cy)].size > 1 or not self._zero((x, y), cx, cy)
 
     def ledgers(self) -> tuple[dict[Edge, int], dict[Edge, bool], dict[Edge, bool]]:
         """Live inter-component edge view of the maintained ledgers."""
-        return dict(self.count), dict(self.tx), dict(self.ty)
+        comp, n_in, n_out = self.scc.comp_cur, self.n_in, self.n_out
+        tx = {(t, h): bool(n_in.get((comp[t], comp[h]))) for t, h in self.count}
+        ty = {(t, h): bool(n_out.get((comp[h], comp[t]))) for t, h in self.count}
+        return dict(self.count), tx, ty

@@ -631,7 +631,10 @@ class TestSizeGuard:
         finally:
             tracemalloc.stop()
         assert len(tries) == 2
-        assert max(peaks) <= algebraic._PEAK_MATRICES * size * size * 8
+        matrix = size * size * 8
+        assert max(peaks) <= algebraic._PEAK_MATRICES * matrix
+        # and the guard asks for less than one matrix beyond the peak
+        assert max(peaks) > (algebraic._PEAK_MATRICES - 1) * matrix
 
 
 class TestWorkMatrices:

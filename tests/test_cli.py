@@ -360,6 +360,19 @@ class TestMain:
         assert capsys.readouterr().err.count("engine error") == 2
         assert not out.exists()
 
+    def test_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch):
+        def no_memory(n):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "TrDag", no_memory)
+        path = tmp_path / "s.txt"
+        path.write_text(D3_STREAM, encoding="utf-8")
+        out = tmp_path / "b.csv"
+        assert cli.main(["run", str(path)]) == 2
+        assert cli.main(["bench", "--n", "4", "--steps", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("engine error: out of memory") == 2
+        assert not out.exists()
+
     def test_general_check_mismatch_exits_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "validity_triple", lambda n, live, got: "forced")
         path = tmp_path / "s.txt"

@@ -297,6 +297,65 @@ def test_ledgers_match_definitional_recomputation(case):
         assert ty == want_ty
 
 
+def spy_full_pass(monkeypatch) -> list[None]:
+    calls = []
+    full_pass = TrGeneral._full_pass
+
+    def counted(self):
+        calls.append(None)
+        full_pass(self)
+
+    monkeypatch.setattr(TrGeneral, "_full_pass", counted)
+    return calls
+
+
+def test_ledger_deltas_match_recomputation_on_seeded_histories(monkeypatch):
+    # counts the updates that took the delta path, so the check is known
+    # to cover it and not only the full pass
+    full = spy_full_pass(monkeypatch)
+    updates = deltas = 0
+    for seed in range(150):
+        n = 3 + seed % 12
+        density = (0.0, 0.25, 0.45)[seed % 3]
+        eng = TrGeneral(n)
+        # 6n steps: the build phase takes about 2.5n, so most are churn
+        for upd in random_update_stream(n, 6 * n, "general", density=density, seed=seed):
+            calls = len(full)
+            drive(eng, upd)
+            updates += 1
+            deltas += len(full) == calls
+            assert eng.ledgers() == recompute_general_ledgers(eng.g)
+    assert deltas > updates // 2
+
+
+def test_searched_view_side_moves_ledgers_by_deltas(monkeypatch):
+    # components {1, 2} and {3, 4}; 5 and 6 stand alone.  Deleting (2, 5)
+    # leaves 5 without a parent in root 1's out-tree and 2 without one in
+    # root 5's in-tree, so both sides are searched again; the condensation
+    # stays, since (2, 5) joins two components
+    eng = TrGeneral(6)
+    for center, batch in [
+        (1, [(1, 2), (2, 1)]),
+        (3, [(3, 4), (4, 3)]),
+        (5, [(2, 5), (5, 3)]),
+        (6, [(6, 1), (6, 5)]),
+        (1, [(1, 3)]),
+    ]:
+        eng.insert_centered(center, batch)
+    count, tx, _ = eng.ledgers()
+    assert count[(6, 5)] == 1 and tx[(6, 5)] and tx[(1, 3)]
+    full = spy_full_pass(monkeypatch)
+    comp, views = eng.scc.comp_cur, dict(eng.scc.views)
+    eng.delete_edges([(2, 5)])
+    assert full == []
+    assert eng.scc.comp_cur is comp
+    assert eng.scc.views[1].desc is not views[1].desc
+    assert eng.scc.views[5].anc is not views[5].anc
+    count, tx, ty = eng.ledgers()
+    assert (count, tx, ty) == recompute_general_ledgers(eng.g)
+    assert count[(6, 5)] == 0 and not tx[(6, 5)] and not tx[(1, 3)]
+
+
 @given(general_streams())
 @PROPERTY_SETTINGS
 def test_redundancy_query_matches_brute_force(case):
