@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Sequence
+from itertools import chain, compress
 
 import numpy as np
 
@@ -329,7 +330,11 @@ class AlgebraicDag:
         return self.state.entry(x - 1, 2 * self.n + y - 1) != 0
 
     def tr_edges(self) -> list[Edge]:
-        return sorted(e for e in self.g.eid if not self.is_redundant(*e))
+        edges = list(self.g.eid)
+        ends = np.fromiter(chain.from_iterable(edges), np.intp, 2 * len(edges)).reshape(-1, 2) - 1
+        # each edge's entry from its tail to the twice-shifted copy of its head
+        zero = self.state.minv[ends[:, 0], 2 * self.n + ends[:, 1]] == 0
+        return sorted(compress(edges, zero.tolist()))
 
 
 class AlgebraicGeneral:
@@ -340,6 +345,8 @@ class AlgebraicGeneral:
         self.state = InverseState(n)
         self.g = TimestampedGraph(n)
         self._rng = random.Random(seed)
+        # each component's minimal spanning subset, for general_reduction
+        self._scss: dict[tuple[Edge, ...], set[Edge]] = {}
         # the identity diagonal becomes a random self-loop; M stays diagonal,
         # so its inverse is read off entry by entry
         loops = [self._rng.randrange(1, FIELD_PRIME) for _ in range(n)]
@@ -421,7 +428,8 @@ class AlgebraicGeneral:
         np.fill_diagonal(both, True)
         comp = [0, *(both.argmax(axis=1) + 1).tolist()]
         return general_reduction(
-            self.g, comp, lambda members, r, t: not self.group_redundant(members, r, t)
+            self.g, comp, lambda members, r, t: not self.group_redundant(members, r, t),
+            self._scss,
         )
 
     def is_redundant(self, x: int, y: int) -> bool:

@@ -11,8 +11,10 @@ the reduction is exactly the edges where all three are zero:
 * ``ty[e]``: the mirrored head-rooted witness.
 
 A flag per edge, 1 iff one of the three is nonzero, is refreshed
-wherever they change, so ``is_redundant`` and ``tr_edges`` read only the
-flag.
+wherever they change, so ``is_redundant`` reads only the flag.  The
+reduction itself is kept as a sorted list of edges, changed only where a
+flag flips, a fresh edge enters with flag 0 or an edge with flag 0 is
+deleted, so ``tr_edges`` copies it and ``tr_size`` reads its length.
 
 A centered insertion refreshes only the center's reachability state.  An
 edge can gain a detour through the center only when its tail is a new
@@ -49,6 +51,7 @@ stays proportional to the number of roots times n.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Iterable
 from itertools import compress
 
@@ -74,7 +77,8 @@ class TrDag:
         self.tx: list[int] = []
         self.ty: list[int] = []
         self._red: list[int] = []
-        self.tr_count = 0
+        # the edges with flag 0, sorted
+        self._tr: list[Edge] = []
         self.op_counter = 0
 
     # ---- updates ----
@@ -136,9 +140,10 @@ class TrDag:
             else:
                 far = self.states.get(x)
                 tx[e] = 1 if far is not None and far.in_query(y) else 0
-        # fresh edges enter with red 0, i.e. counted in the reduction;
-        # they are among the center's edges, so touched covers them
-        self.tr_count += len(fresh)
+        # fresh edges enter with red 0, i.e. in the reduction; they are
+        # among the center's edges, so touched covers them
+        for e in fresh:
+            insort(self._tr, (e_tail[e], e_head[e]))
         self._refresh_red(touched)
         self.op_counter += ops + len(touched)
 
@@ -152,7 +157,8 @@ class TrDag:
         eid = g.eid
         red = self._red
         for e in ids:
-            self.tr_count -= 1 - red[e]
+            if not red[e]:
+                self._drop_tr(e)
         touched: set[int] = set()
         # per-entry writes through a memoryview: a numpy fancy write costs
         # more than the few vertices a visited root usually drops
@@ -241,13 +247,22 @@ class TrDag:
         return [(roots[i], states[roots[i]]) for i in np.flatnonzero(hit).tolist()]
 
     def _refresh_red(self, edges: Iterable[int]) -> None:
-        """Re-derive the reduction flag of each edge and the size count."""
+        """Re-derive the reduction flag of each edge; a flip moves the edge
+        out of or into the kept reduction."""
         count, tx, ty, red = self.count, self.tx, self.ty, self._red
         for e in edges:
             r = 1 if (count[e] or tx[e] or ty[e]) else 0
             if r != red[e]:
                 red[e] = r
-                self.tr_count += 1 - 2 * r
+                if r:
+                    self._drop_tr(e)
+                else:
+                    insort(self._tr, (self.g.e_tail[e], self.g.e_head[e]))
+
+    def _drop_tr(self, e: int) -> None:
+        """Remove edge ``e`` from the kept reduction."""
+        tr = self._tr
+        del tr[bisect_left(tr, (self.g.e_tail[e], self.g.e_head[e]))]
 
     # ---- queries ----
 
@@ -260,12 +275,11 @@ class TrDag:
         return self._red[e] == 1
 
     def tr_edges(self) -> list[Edge]:
-        red = self._red
-        return sorted(edge for edge, e in self.g.eid.items() if not red[e])
+        return list(self._tr)
 
     def tr_size(self) -> int:
-        """Reduction size tracked in O(1), no edge scan."""
-        return self.tr_count
+        """Reduction size in O(1), no edge scan."""
+        return len(self._tr)
 
     def ledgers(self) -> tuple[dict[Edge, int], dict[Edge, bool], dict[Edge, bool]]:
         """Live-edge view of the maintained counters and witness bits."""

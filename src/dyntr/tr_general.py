@@ -15,7 +15,8 @@ the combinatorial engine, whose ``is_redundant`` answers for an edge
 inside one component with the ``has_detour`` path probe of
 ``graph_core``.  ``general_reduction`` splits the live edges by
 component with ``split_edges`` of ``scc_snapshots``, the split that also
-builds the parallel-group table.
+builds the parallel-group table, and reuses the spanning subset of a
+component whose edges are unchanged since the engine's previous call.
 
 The engine keeps its inter-component ledgers as counters over the
 per-root snapshot views.  An update adjusts them by the share of each
@@ -143,19 +144,32 @@ def general_reduction(
     g: TimestampedGraph,
     comp: Sequence[int],
     keep_group: Callable[[list[Edge], int, int], bool],
+    kept: dict[tuple[Edge, ...], set[Edge]],
 ) -> list[Edge]:
     """The reduction of ``g`` under ``comp``, a component label per vertex.
 
     Inside each component with an edge: the minimal spanning subset of
     its edges, probed oldest first, over their tails, which are all its
-    vertices.  Between components: the oldest member of each parallel
-    group, ordered by ``(timestamp, edge)``, whenever
-    ``keep_group(members, from_label, to_label)`` says the group keeps it.
+    vertices.  ``kept``, owned by the caller, maps a component's edges in
+    age order to that subset: a component whose edges match a key exactly
+    reuses its subset, since ``minimal_scss`` is deterministic in its
+    input order, and afterwards ``kept`` holds only this call's components.
+    Between components: the oldest member of each parallel group, ordered
+    by ``(timestamp, edge)``, whenever ``keep_group(members, from_label,
+    to_label)`` says the group keeps it.
     """
     intra, groups = split_edges(g, comp)
     result: list[Edge] = []
+    used: dict[tuple[Edge, ...], set[Edge]] = {}
     for edges in intra.values():
-        result.extend(minimal_scss({t for t, _ in edges}, edges))
+        key = tuple(edges)
+        scss = kept.get(key)
+        if scss is None:
+            scss = minimal_scss({t for t, _ in edges}, edges)
+        used[key] = scss
+        result.extend(scss)
+    kept.clear()
+    kept.update(used)
     for (cf, ct), edges in groups.items():
         if keep_group(edges, cf, ct):
             result.append(edges[0])
@@ -189,6 +203,8 @@ class TrGeneral:
         _fit_in_memory(_BYTES_PER_VERTEX * n, f"TrGeneral on {n} vertices")
         self.g = TimestampedGraph(n)
         self.scc = SccSnapshots(self.g)
+        # each component's minimal spanning subset, for general_reduction
+        self._scss: dict[tuple[Edge, ...], set[Edge]] = {}
         self._full_pass()
 
     # ---- updates ----
@@ -295,7 +311,7 @@ class TrGeneral:
         def keep_group(members: list[Edge], cf: int, ct: int) -> bool:
             return self._zero(members[0], cf, ct)
 
-        return general_reduction(self.g, self.scc.comp_cur, keep_group)
+        return general_reduction(self.g, self.scc.comp_cur, keep_group, self._scss)
 
     def is_redundant(self, x: int, y: int) -> bool:
         if type(x) is not int or type(y) is not int:

@@ -3,6 +3,8 @@
 import csv
 import io
 import os
+import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,7 @@ from dyntr.errors import (
     CycleCreated,
     DuplicateEdge,
     MissingEdge,
+    NotIncident,
     ParseError,
     StreamCheckError,
     TooLarge,
@@ -556,6 +559,66 @@ def test_rejected_batches_leave_no_trace(mode, engine):
         same_answers(eng, ref)
         if engine == "alg":
             assert np.array_equal(eng.state.minv, ref.state.minv)
+
+
+def semantic_twins(live, n, mode, rng):
+    """Well-shaped updates that the graph ``live`` rejects, each with the
+    error it raises; a valid edge rides along where the batch allows one."""
+    t, h = rng.choice(sorted(live))
+    dead = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1)
+            if a != b and (a, b) not in live and (b, a) not in live]
+    a, b = rng.choice(dead)
+    c = rng.choice([v for v in range(1, n + 1) if v not in (a, b)])
+    twins = [
+        (InsertCentered(t, ((t, h),)), DuplicateEdge),
+        (InsertCentered(c, ((a, b),)), NotIncident),
+        (DeleteSet(((t, h), (a, b))), MissingEdge),
+    ]
+    if mode == "dag":
+        # (h, t) closes t -> h -> t; the batch is linked, probed, rolled back
+        ride = [(x, h) for x in range(1, n + 1) if (x, h) in dead]
+        twins.append((InsertCentered(h, ((h, t), *ride[:1])), CycleCreated))
+    return twins
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES + ORACLES)
+def test_semantic_rejections_leave_no_trace(mode, engine):
+    n = 7
+    rng = random.Random(3)
+    eng, ref = (make_engine(mode, engine, n, seed=5) for _ in range(2))
+    for upd in random_update_stream(n, 40, mode, seed=11):
+        apply(eng, upd)
+        apply(ref, upd)
+        live = set(ref.g.eid)
+        if live and len(live) < n * (n - 1) // 2:
+            for bad, error in semantic_twins(live, n, mode, rng):
+                with pytest.raises(error):
+                    apply(eng, bad)
+        same_answers(eng, ref)
+        if hasattr(ref, "tr_size"):
+            assert eng.tr_size() == ref.tr_size() == len(ref.tr_edges())
+        if engine == "alg":
+            assert np.array_equal(eng.state.minv, ref.state.minv)
+
+
+@pytest.mark.parametrize("mode,engine", ENGINES + ORACLES)
+def test_pickled_engine_replays_like_the_original(mode, engine):
+    n = 8
+    updates = random_update_stream(n, 60, mode, seed=4)
+    eng = make_engine(mode, engine, n, seed=5)
+    for upd in updates[:30]:
+        apply(eng, upd)
+    eng.tr_edges()  # whatever a query keeps goes into the pickle too
+    twin = pickle.loads(pickle.dumps(eng, protocol=pickle.HIGHEST_PROTOCOL))
+    for upd in updates[30:]:
+        apply(eng, upd)
+        apply(twin, upd)
+        got = eng.tr_edges()
+        assert twin.tr_edges() == got
+        # a returned list is the caller's own
+        got.append((0, 0))
+        twin.tr_edges().append((0, 0))
+        assert eng.tr_edges() == twin.tr_edges() == got[:-1]
 
 
 @pytest.mark.parametrize("mode,engine", ENGINES)

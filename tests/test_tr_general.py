@@ -23,8 +23,11 @@ from dyntr.oracle import (
     brute_tr_dag,
     random_update_stream,
     recompute_general_ledgers,
+    scc_partition,
     validity_triple,
 )
+from dyntr import tr_general
+from dyntr.scc_snapshots import split_edges
 from dyntr.tr_general import has_detour
 
 PROPERTY_SETTINGS = settings(
@@ -395,6 +398,39 @@ def test_dag_streams_through_general_engine(case):
     for upd in updates:
         drive(eng, upd)
         assert eng.tr_edges() == sorted(brute_tr_dag(n, eng.g.edge_list()))
+
+
+@pytest.mark.parametrize("cls", [TrGeneral, AlgebraicGeneral])
+def test_kept_spanning_subsets_are_exact_and_bounded(cls, monkeypatch):
+    probed = []
+
+    def counted(vertices, edges):
+        probed.append(edges)
+        return minimal_scss(vertices, edges)
+
+    monkeypatch.setattr(tr_general, "minimal_scss", counted)
+    components = misses = 0
+    for seed in range(60):
+        n = 4 + seed % 12
+        density = (0.0, 0.25, 0.45)[seed % 3]
+        eng = cls(n)
+        for upd in random_update_stream(n, 4 * n, "general", density=density, seed=seed):
+            drive(eng, upd)
+            before = len(probed)
+            got = eng.tr_edges()
+            misses += len(probed) - before
+            kept = eng._scss
+            # the keys are the current components' edges, in age order
+            comp, _ = scc_partition(n, list(eng.g.eid))
+            intra, _ = split_edges(eng.g, comp)
+            assert set(kept) == {tuple(edges) for edges in intra.values()}
+            components += len(intra)
+            # the same call with nothing kept probes every component afresh
+            eng._scss = {}
+            assert eng.tr_edges() == got
+            eng._scss = kept
+    # some components come through an update unchanged and are not probed
+    assert 0 < misses < components
 
 
 @pytest.mark.parametrize("cls", [TrGeneral, AlgebraicGeneral])
