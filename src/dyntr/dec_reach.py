@@ -3,14 +3,15 @@
 One instance serves one root: it answers, in O(1), whether a vertex still
 has an in-neighbor among the root's proper descendants (and, mirrored,
 an out-neighbor among the proper ancestors), while edges are deleted.
-Per vertex the instance keeps two cursors into the shared timestamped
-adjacency of the graph: a primary cursor on the first incoming edge whose
-tail descends from the root, and a secondary cursor on the second such
-edge.  When a deletion invalidates the primary cursor it either adopts
-the secondary one or, if none exists, declares the vertex unreachable and
-cascades over its outgoing edges.  Cursors only ever move forward through
-an adjacency list, which keeps the total maintenance work linear in the
-snapshot size.
+Per vertex and side the instance keeps one cursor into the shared
+timestamped adjacency of the graph, on the first incoming edge whose
+tail properly descends from the root, and per side the set of the far
+ends of the root's own edges.  A vertex stays reached while it has a
+cursor or an edge from the root.  A deleted cursor edge advances the
+cursor to the next such edge; a vertex left with neither is declared
+unreachable and cascades over its outgoing edges.  Cursors only ever
+move forward through an adjacency list, which keeps the total
+maintenance work linear in the snapshot size.
 
 The instance does not copy adjacency: it walks the graph's own linked
 lists, truncated at the snapshot's timestamp limit.  Dead list entries
@@ -35,14 +36,14 @@ from .graph_core import NIL, TimestampedGraph
 class DecReach:
     """Per-root reachability state over the root's snapshot.
 
-    Invariant between calls: every non-NIL cursor is a live edge of the
-    snapshot whose endpoints lie on the cursor's side.  ``p_in[y]`` and
-    ``c_in[y]`` have tail and head among the descendants, ``p_out[x]``
-    and ``c_out[x]`` among the ancestors.  A vertex dropped from the
-    descendants queues its out-edges, the only in-cursors it can be the
-    tail of (the ancestor side mirrors this), so no cursor is left with
-    a dropped endpoint.  Hence ``delete`` changes nothing unless a
-    removed edge of the snapshot has both endpoints on one side.
+    Invariant between calls: ``p_in[y]`` is NIL or the first live
+    snapshot in-edge of y whose tail is a proper descendant, and
+    ``d_root`` holds the heads of the root's live snapshot out-edges, so
+    y != root is a descendant iff ``p_in[y]`` is set or y is in
+    ``d_root``; ``p_out`` and ``a_root`` mirror this among the ancestors.
+    A dropped vertex queues its edges away from the root, the only
+    cursors it can be the far end of, so ``delete`` changes nothing
+    unless a removed snapshot edge has both endpoints on one side.
     """
 
     __slots__ = (
@@ -52,9 +53,9 @@ class DecReach:
         "desc",
         "anc",
         "p_in",
-        "c_in",
         "p_out",
-        "c_out",
+        "d_root",
+        "a_root",
         "touched_in",
         "touched_out",
         "op_counter",
@@ -66,21 +67,22 @@ class DecReach:
         self.g = g
         self.root = root
         self.limit = g.center_ts[root]
-        self.desc, d_ops = self._search(g.fwd)
-        self.anc, a_ops = self._search(g.bwd)
-        self.p_in, self.c_in, i_ops = self._cursors(self.desc, g.bwd)
-        self.p_out, self.c_out, o_ops = self._cursors(self.anc, g.fwd)
+        self.desc, self.d_root, d_ops = self._search(g.fwd)
+        self.anc, self.a_root, a_ops = self._search(g.bwd)
+        self.p_in, i_ops = self._cursors(self.desc, g.bwd)
+        self.p_out, o_ops = self._cursors(self.anc, g.fwd)
         self.touched_in: set[int] = set()
         self.touched_out: set[int] = set()
         self.op_counter = d_ops + a_ops + i_ops + o_ops
 
-    def _search(self, walk: tuple) -> tuple[bytearray, int]:
-        """Snapshot vertices the root reaches along ``walk``; edges scanned."""
+    def _search(self, walk: tuple) -> tuple[bytearray, set[int], int]:
+        """Snapshot vertices the root reaches along ``walk``, the far ends
+        of the root's own edges, and the edges scanned."""
         first, nxt, far, _ = walk
-        limit, e_ts = self.limit, self.g.e_ts
+        root, limit, e_ts = self.root, self.limit, self.g.e_ts
         reached = bytearray(len(first))
-        reached[self.root] = 1
-        stack = [self.root]
+        reached[root] = 1
+        stack = [root]
         ops = 0
         while stack:
             v = stack.pop()
@@ -92,56 +94,41 @@ class DecReach:
                     reached[w] = 1
                     stack.append(w)
                 e = nxt[e]
-        return reached, ops
+        ends = set()
+        e = first[root]
+        while e != NIL and e_ts[e] <= limit:
+            ends.add(far[e])
+            e = nxt[e]
+        return reached, ends, ops + len(ends)
 
-    def _cursors(self, reached: bytearray, back: tuple) -> tuple[list, list, int]:
-        """Primary and secondary cursors of the reached vertices on their
-        ``back`` lists; edges scanned."""
+    def _cursors(self, reached: bytearray, back: tuple) -> tuple[list, int]:
+        """Cursors of the reached vertices on their ``back`` lists; edges
+        scanned."""
         first, nxt, far, _ = back
         root, limit, e_ts = self.root, self.limit, self.g.e_ts
         p = [NIL] * len(first)
-        c = [NIL] * len(first)
         ops = 0
         for y in range(1, len(first)):
             if reached[y] and y != root:
-                # the snapshot list of a reached y holds a reached far end
                 e = first[y]
-                while not reached[far[e]]:
-                    ops += 1
-                    e = nxt[e]
-                p[y] = e
-                e = nxt[e]
                 while e != NIL and e_ts[e] <= limit:
                     ops += 1
-                    if reached[far[e]]:
-                        c[y] = e
+                    x = far[e]
+                    if reached[x] and x != root:
+                        p[y] = e
                         break
                     e = nxt[e]
-        return p, c, ops
+        return p, ops
 
     # ---- queries ----
 
     def in_query(self, y: int) -> bool:
         """True iff y has an in-neighbor among the proper descendants."""
-        if y == self.root:
-            return False
-        e_tail = self.g.e_tail
-        e = self.p_in[y]
-        if e != NIL and e_tail[e] != self.root:
-            return True
-        e = self.c_in[y]
-        return e != NIL and e_tail[e] != self.root
+        return self.p_in[y] != NIL
 
     def out_query(self, x: int) -> bool:
         """True iff x has an out-neighbor among the proper ancestors."""
-        if x == self.root:
-            return False
-        e_head = self.g.e_head
-        e = self.p_out[x]
-        if e != NIL and e_head[e] != self.root:
-            return True
-        e = self.c_out[x]
-        return e != NIL and e_head[e] != self.root
+        return self.p_out[x] != NIL
 
     # ---- mutation ----
 
@@ -150,15 +137,15 @@ class DecReach:
 
         Returns the vertices dropped from the descendant and the ancestor
         side by this call.  ``touched_in``/``touched_out`` afterwards hold
-        every vertex whose cursors were reassigned, a superset of the
+        every vertex whose cursor was reassigned, a superset of the
         vertices whose query answers may have flipped.
         """
         fwd, bwd = self.g.fwd, self.g.bwd
         d_delta, self.touched_in, d_ops = self._drain(
-            removed_ids, self.desc, self.p_in, self.c_in, fwd, bwd
+            removed_ids, self.desc, self.p_in, self.d_root, fwd, bwd
         )
         a_delta, self.touched_out, a_ops = self._drain(
-            removed_ids, self.anc, self.p_out, self.c_out, bwd, fwd
+            removed_ids, self.anc, self.p_out, self.a_root, bwd, fwd
         )
         self.op_counter += d_ops + a_ops
         return d_delta, a_delta
@@ -168,49 +155,46 @@ class DecReach:
         removed_ids: list[int],
         reached: bytearray,
         p: list[int],
-        c: list[int],
+        ends: set[int],
         walk: tuple,
         back: tuple,
     ) -> tuple[list[int], set[int], int]:
-        """A removed primary cursor adopts the secondary or, with none,
-        drops its vertex and queues the vertex's ``walk`` edges; a removed
-        secondary advances.  Returns the dropped and the touched vertices
-        and the edges scanned."""
-        limit, e_ts, e_live = self.limit, self.g.e_ts, self.g.e_live
+        """A removed root edge leaves ``ends``, a removed cursor advances,
+        and a vertex left with neither drops and queues its ``walk``
+        edges.  Returns the dropped and touched vertices and edges scanned."""
+        root, limit, e_ts, e_live = self.root, self.limit, self.g.e_ts, self.g.e_live
         w_first, w_nxt = walk[0], walk[1]
         nxt, far, near = back[1], back[2], back[3]
-        delta: list[int] = []
-        touched: set[int] = set()
-        ops = 0
+        delta, touched, ops = [], set(), 0
         queue = [e for e in removed_ids if e_ts[e] <= limit]
         while queue:
             e = queue.pop()
             ops += 1
             y = near[e]
-            if p[y] == e:
-                touched.add(y)
-                if c[y] == NIL:
-                    p[y] = NIL
-                    reached[y] = 0
-                    delta.append(y)
-                    e2 = w_first[y]
-                    while e2 != NIL and e_ts[e2] <= limit:
-                        ops += 1
-                        queue.append(e2)
-                        e2 = w_nxt[e2]
+            if far[e] == root:
+                ends.discard(y)
+                if p[y] != NIL:
                     continue
-                p[y] = e = c[y]
-            elif c[y] == e:
+            elif p[y] == e:
                 touched.add(y)
+                p[y] = NIL
+                pos = nxt[e]
+                while pos != NIL and e_ts[pos] <= limit:
+                    ops += 1
+                    x = far[pos]
+                    if e_live[pos] and reached[x] and x != root:
+                        p[y] = pos
+                        break
+                    pos = nxt[pos]
+                if p[y] != NIL or y in ends:
+                    continue
             else:
                 continue
-            # the secondary cursor moves past e, the edge it sat on
-            c[y] = NIL
-            pos = nxt[e]
-            while pos != NIL and e_ts[pos] <= limit:
+            reached[y] = 0
+            delta.append(y)
+            e = w_first[y]
+            while e != NIL and e_ts[e] <= limit:
                 ops += 1
-                if e_live[pos] and reached[far[pos]]:
-                    c[y] = pos
-                    break
-                pos = nxt[pos]
+                queue.append(e)
+                e = w_nxt[e]
         return delta, touched, ops

@@ -1,5 +1,6 @@
 """Decremental reachability states: frozen examples and oracle properties."""
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -54,17 +55,20 @@ class TestInit:
         st_ = DecReach(g, 1)
         assert flags_to_set(st_.desc) == {1, 2, 3}
         assert flags_to_set(st_.anc) == {1}
-        # two descendant-connected in-edges of 2, so both cursors are set
-        p = st_.p_in[2]
-        assert p != NIL and st_.desc[g.e_tail[p]]
-        assert st_.c_in[2] != NIL
+        # 2 has in-edges from 3 and from the root; the cursor skips the root's
+        assert st_.p_in[2] == g.eid[(3, 2)]
+        # 3's only in-edge is the root's
+        assert st_.p_in[3] == NIL
+        assert st_.d_root == {2, 3}
+        assert st_.a_root == set()
 
-    def test_p3_single_parents_leave_c_nil(self):
+    def test_p3_root_children_have_no_cursor(self):
         g = full_p3_from_1()
         st_ = DecReach(g, 1)
         assert flags_to_set(st_.desc) == {1, 2, 3}
-        assert st_.c_in[2] == NIL
-        assert st_.c_in[3] == NIL
+        assert st_.p_in[2] == NIL
+        assert st_.p_in[3] == g.eid[(2, 3)]
+        assert st_.d_root == {2}
 
     def test_isolated_root(self):
         g = TimestampedGraph(4, acyclic=True)
@@ -101,9 +105,10 @@ class TestDelete:
         d, a = st_.delete([eid])
         assert d == []
         assert a == []
-        # the surviving cursor of 2 sits on (3, 2)
+        # the root edge leaves d_root; the cursor of 2 stays on (3, 2)
         assert st_.p_in[2] == keep
-        assert st_.c_in[2] == NIL
+        assert st_.d_root == {3}
+        assert st_.touched_in == set()
         assert flags_to_set(st_.desc) == {1, 2, 3}
 
     def test_d3_cascade_stops_at_reconvergence(self):
@@ -114,8 +119,11 @@ class TestDelete:
         d, a = st_.delete([eid])
         assert d == [3]
         assert flags_to_set(st_.desc) == {1, 2}
-        # 2 survived on its remaining parent edge
-        assert st_.p_in[2] == g.eid[(1, 2)]
+        # 2 survived on its remaining parent edge, the root's, so its
+        # cursor found nothing past (3, 2)
+        assert st_.p_in[2] == NIL
+        assert st_.d_root == {2}
+        assert st_.touched_in == {2}
 
     def test_p3_cascade_takes_everything(self):
         g = full_p3_from_1()
@@ -136,6 +144,58 @@ class TestDelete:
         d, a = st_.delete([eid])
         assert (d, a) == ([], [])
         assert flags_to_set(st_.desc) == {1, 2}
+
+
+def holdout_desc():
+    # 3 has two in-edges: (2, 3) from a proper descendant, (1, 3) from root 1
+    g = TimestampedGraph(3, acyclic=True)
+    g.apply_insert_centered(2, [(2, 3)])
+    g.apply_insert_centered(1, [(1, 2), (1, 3)])
+    return g, DecReach(g, 1)
+
+
+def holdout_anc():
+    # 1 has two out-edges: (1, 2) to a proper ancestor, (1, 3) to root 3
+    g = TimestampedGraph(3, acyclic=True)
+    g.apply_insert_centered(1, [(1, 2)])
+    g.apply_insert_centered(3, [(1, 3), (2, 3)])
+    return g, DecReach(g, 3)
+
+
+# (build, the held vertex, its edge from a proper member, its root edge,
+#  the query, the index of the side's delta)
+HOLDOUTS = (
+    (holdout_desc, 3, (2, 3), (1, 3), DecReach.in_query, 0),
+    (holdout_anc, 1, (1, 2), (1, 3), DecReach.out_query, 1),
+)
+
+
+class TestRootEdgeHoldout:
+    @pytest.mark.parametrize("case", HOLDOUTS, ids=["desc", "anc"])
+    def test_root_edge_holds_the_vertex_until_it_goes(self, case):
+        build, v, member_edge, root_edge, query, side = case
+        g, st_ = build()
+        assert query(st_, v) is True
+        ids = [g.eid[member_edge]]
+        g.apply_delete([member_edge])
+        assert st_.delete(ids)[side] == []
+        assert query(st_, v) is False
+        ids = [g.eid[root_edge]]
+        g.apply_delete([root_edge])
+        assert st_.delete(ids)[side] == [v]
+        assert query(st_, v) is False
+
+    @pytest.mark.parametrize("case", HOLDOUTS, ids=["desc", "anc"])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_both_supports_in_one_batch_drop_the_vertex(self, case, order):
+        build, v, member_edge, root_edge, query, side = case
+        g, st_ = build()
+        batch = [member_edge, root_edge][:: 1 - 2 * order]
+        ids = [g.eid[edge] for edge in batch]
+        g.apply_delete(batch)
+        assert st_.delete(ids)[side] == [v]
+        assert query(st_, v) is False
+        assert v not in (st_.d_root, st_.a_root)[side]
 
 
 class TestQueries:

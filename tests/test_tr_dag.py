@@ -1,6 +1,7 @@
 """DAG transitive-reduction engine: frozen examples and oracle equivalence."""
 
 import copy
+import os
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dyntr import DeleteSet, InsertCentered
-from dyntr.errors import MissingEdge
+from dyntr.errors import MissingEdge, TooLarge
 from dyntr.graph_core import NIL
 from dyntr.oracle import (
     brute_tr_dag,
     random_update_stream,
     recompute_dag_ledgers,
 )
-from dyntr.tr_dag import TrDag
+from dyntr.tr_dag import _BYTES_PER_ROOT, TrDag
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -177,18 +178,35 @@ def test_every_cursor_has_both_endpoints_on_its_side(case):
     n, updates = case
     eng = TrDag(n)
     g = eng.g
+
+    def snapshot_list(first, nxt, limit):
+        # a list from first[v] holds live edges only
+        e = first
+        while e != NIL and g.e_ts[e] <= limit:
+            yield e
+            e = nxt[e]
+
     for upd in updates:
         drive(eng, upd)
-        for st_ in eng.states.values():
-            for v in range(1, n + 1):
-                for cursors, side in (
-                    ((st_.p_in[v], st_.c_in[v]), st_.desc),
-                    ((st_.p_out[v], st_.c_out[v]), st_.anc),
-                ):
-                    for e in cursors:
-                        if e != NIL:
-                            assert g.e_live[e] and g.e_ts[e] <= st_.limit
-                            assert side[g.e_tail[e]] and side[g.e_head[e]]
+        for z, st_ in eng.states.items():
+            for cursors, ends, side, walk, back in (
+                (st_.p_in, st_.d_root, st_.desc, g.fwd, g.bwd),
+                (st_.p_out, st_.a_root, st_.anc, g.bwd, g.fwd),
+            ):
+                w_first, w_nxt, w_far, _ = walk
+                root_edges = snapshot_list(w_first[z], w_nxt, st_.limit)
+                assert ends == {w_far[e] for e in root_edges}
+                first, nxt, far, _ = back
+                for v in range(1, n + 1):
+                    # the first snapshot edge of v from a proper member of the side
+                    want = NIL
+                    if v != z:
+                        for e in snapshot_list(first[v], nxt, st_.limit):
+                            if side[far[e]] and far[e] != z:
+                                want = e
+                                break
+                    assert cursors[v] == want
+                    assert side[v] == (v == z or want != NIL or v in ends)
 
 
 @given(dag_streams())
@@ -262,3 +280,51 @@ def test_a_million_vertices_allocate_nothing_quadratic():
         tracemalloc.stop()
     # one row of n + 1 flags would be 1 MB; (n + 1)^2 flags would be 1 TB
     assert peak < 200 * 2**20
+
+
+def test_a_new_root_holds_at_most_24_bytes_per_vertex():
+    n, k = 2000, 200
+    eng = TrDag(n)
+    # one hub feeds every vertex, so each later center is a new root
+    eng.insert_centered(1, [(1, v) for v in range(2, n + 1)])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for v in range(2, 2 + k):
+            eng.insert_centered(v, [(v, v + k)])
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(eng.states) == k + 1
+    assert held <= 24 * (n + 1) * k
+
+
+def engine_view(eng):
+    states = {
+        z: (bytes(st_.desc), bytes(st_.anc), st_.p_in, st_.p_out, st_.d_root, st_.a_root)
+        for z, st_ in eng.states.items()
+    }
+    return eng.tr_edges(), eng.ledgers(), dict(eng.g.eid), states
+
+
+def test_a_new_root_past_memory_leaves_the_engine_as_it_was(monkeypatch):
+    n = 20
+    eng, twin = TrDag(n), TrDag(n)
+    for e in (eng, twin):
+        e.insert_centered(1, [(1, 2), (1, 3)])
+        e.insert_centered(2, [(2, 4)])
+    # room for two roots' state, not for a third
+    pages = _BYTES_PER_ROOT * (n + 1) * 2
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else pages)
+    for e in (eng, twin):
+        # re-centering a root allocates no new row
+        e.insert_centered(1, [(1, 5)])
+        e.delete_edges([(1, 3)])
+    with pytest.raises(TooLarge):
+        eng.insert_centered(3, [(3, 4), (2, 3)])
+    assert engine_view(eng) == engine_view(twin)
+    monkeypatch.undo()
+    for e in (eng, twin):
+        e.insert_centered(3, [(3, 4), (2, 3)])
+    assert engine_view(eng) == engine_view(twin)
+    assert set(eng.tr_edges()) == brute_tr_dag(n, eng.g.edge_list())
