@@ -1,20 +1,22 @@
 """Fully dynamic transitive reduction of a DAG.
 
-Per live edge the engine maintains a counter and two witness bits, and
-the reduction is exactly the edges where all three are zero:
+The reduction is exactly the live edges (x, y) where three ledgers are
+all zero, of which the engine stores only the first:
 
 * ``count[e]``: how many third vertices z hold the edge inside their
   frozen snapshot with the tail among z's snapshot ancestors and the head
   among its snapshot descendants (such a z certifies a detour through z);
-* ``tx[e]``: the tail-rooted witness -- inside the tail's snapshot, the
-  head has an in-neighbor that properly descends from the tail;
-* ``ty[e]``: the mirrored head-rooted witness.
+* ``tx``: the tail-rooted witness -- inside x's snapshot, y has an
+  in-neighbor that properly descends from x.  It is read off the tail's
+  cursor: x is a root and its ``p_in[y]`` is not NIL;
+* ``ty``: the mirrored head-rooted witness, y's ``p_out[x]``.
 
 A flag per edge, 1 iff one of the three is nonzero, is refreshed
-wherever they change, so ``is_redundant`` reads only the flag.  The
-reduction itself is kept as a sorted list of edges, changed only where a
-flag flips, a fresh edge enters with flag 0 or an edge with flag 0 is
-deleted, so ``tr_edges`` copies it and ``tr_size`` reads its length.
+wherever one of them can change, so ``is_redundant`` reads only the
+flag.  The reduction itself is kept as a sorted list of edges, changed
+only where a flag flips or an edge with flag 0 is deleted, so
+``tr_edges`` copies it and ``tr_size`` reads its length.  A fresh edge
+enters flagged, outside the list, and joins it through the refresh.
 
 A centered insertion refreshes only the center's reachability state.  An
 edge can gain a detour through the center only when its tail is a new
@@ -23,7 +25,7 @@ increments come from scanning the out-edges of the new ancestors alone,
 split between edges that were already visible in the old snapshot and
 edges that just became visible.  The reduction flags are then refreshed
 on the edges whose counter moved and on the center's own edges (whose
-witness bits were rewritten, the fresh batch among them).
+witnesses the new cursors give, the fresh batch among them).
 
 A deletion visits a root only when a removed edge can hold one of its
 cursors or be one of its own edges.  Every cursor of a root z is a live
@@ -35,8 +37,8 @@ y are both descendants or both ancestors of z; any other root would
 return empty deltas.  The visited roots' reachability deltas become
 counter decrements by scanning the snapshot edges that leave a vertex
 dropped from the ancestor side or enter a vertex dropped from the
-descendant side; witness bits are re-evaluated only where a cursor
-actually moved.
+descendant side; a root's own edges are refreshed only where one of its
+cursors actually moved.
 
 The roots to visit are found with one vectorised read of a mirror of
 every root's reach flags: a ``uint8`` array R with one row per root, in
@@ -80,8 +82,6 @@ class TrDag:
         self._reach = np.zeros((0, self.g.n + 1), np.uint8)
         self._limits = np.zeros(0, np.int64)
         self.count: list[int] = []
-        self.tx: list[int] = []
-        self.ty: list[int] = []
         self._red: list[int] = []
         # the edges with flag 0, sorted
         self._tr: list[Edge] = []
@@ -97,18 +97,18 @@ class TrDag:
             # a new root's state and mirror row, checked before the graph changes
             k = len(self.states) + 1
             _fit_in_memory(_BYTES_PER_ROOT * (g.n + 1) * k, f"{k} roots on {g.n} vertices")
-        fresh = g.apply_insert_centered(center, new_edges)
-        count, tx, ty = self.count, self.tx, self.ty
+        g.apply_insert_centered(center, new_edges)
+        count, red = self.count, self._red
+        # fresh edges enter flagged, outside the kept reduction; they are
+        # among the center's edges, so the refresh below lets them in
         while len(count) < len(g.e_tail):
             count.append(0)
-            tx.append(0)
-            ty.append(0)
-            self._red.append(0)
+            red.append(1)
         st = DecReach(g, center)
         self.states[center] = st
         self._mirror(center, st)
         ops = st.op_counter
-        e_tail, e_head, e_ts = g.e_tail, g.e_head, g.e_ts
+        e_head, e_ts = g.e_head, g.e_ts
         out_first, out_nxt = g.out_first, g.out_nxt
         desc_new, anc_new = st.desc, st.anc
         if old_state is not None:
@@ -132,29 +132,13 @@ class TrDag:
                     count[e] += 1
                     touched.append(e)
                 e = out_nxt[e]
-        # the center's out-edges get tx, its in-edges ty
-        witness = ((g.fwd, tx, st.in_query), (g.bwd, ty, st.out_query))
-        for (first, nxt, far, _), bits, query in witness:
+        # the center's new cursors are the witnesses of its own edges
+        for first, nxt, _, _ in (g.fwd, g.bwd):
             e = first[center]
             while e != NIL:
                 ops += 1
-                bits[e] = 1 if query(far[e]) else 0
                 touched.append(e)
                 e = nxt[e]
-        # fresh edges also get their far-side witness, read from the far
-        # endpoint's state so the bits always match their definitions
-        for e in fresh:
-            x, y = e_tail[e], e_head[e]
-            if x == center:
-                far = self.states.get(y)
-                ty[e] = 1 if far is not None and far.out_query(x) else 0
-            else:
-                far = self.states.get(x)
-                tx[e] = 1 if far is not None and far.in_query(y) else 0
-        # fresh edges enter with red 0, i.e. in the reduction; they are
-        # among the center's edges, so touched covers them
-        for e in fresh:
-            insort(self._tr, (e_tail[e], e_head[e]))
         self._refresh_red(touched)
         self.op_counter += ops + len(touched)
 
@@ -164,8 +148,7 @@ class TrDag:
         e_tail, e_head, e_ts = g.e_tail, g.e_head, g.e_ts
         out_first, out_nxt = g.out_first, g.out_nxt
         in_first, in_nxt = g.in_first, g.in_nxt
-        count, tx, ty = self.count, self.tx, self.ty
-        eid = g.eid
+        count, eid = self.count, g.eid
         red = self._red
         for e in ids:
             if not red[e]:
@@ -211,13 +194,11 @@ class TrDag:
                 e = eid.get((z, y))
                 if e is not None:
                     ops += 1
-                    tx[e] = 1 if st.in_query(y) else 0
                     touched.add(e)
             for x in st.touched_out:
                 e = eid.get((x, z))
                 if e is not None:
                     ops += 1
-                    ty[e] = 1 if st.out_query(x) else 0
                     touched.add(e)
         self._refresh_red(touched)
         self.op_counter += ops + len(touched)
@@ -258,17 +239,28 @@ class TrDag:
         return [(roots[i], states[roots[i]]) for i in np.flatnonzero(hit).tolist()]
 
     def _refresh_red(self, edges: Iterable[int]) -> None:
-        """Re-derive the reduction flag of each edge; a flip moves the edge
-        out of or into the kept reduction."""
-        count, tx, ty, red = self.count, self.tx, self.ty, self._red
+        """Re-derive the reduction flag of each edge, reading ``tx``/``ty``
+        off the end roots' cursors; a flip moves the edge out of or into the
+        kept reduction."""
+        count, red, states = self.count, self._red, self.states
+        e_tail, e_head = self.g.e_tail, self.g.e_head
         for e in edges:
-            r = 1 if (count[e] or tx[e] or ty[e]) else 0
+            if count[e]:
+                r = 1
+            else:
+                x, y = e_tail[e], e_head[e]
+                st = states.get(x)
+                if st is not None and st.p_in[y] != NIL:
+                    r = 1
+                else:
+                    st = states.get(y)
+                    r = 1 if st is not None and st.p_out[x] != NIL else 0
             if r != red[e]:
                 red[e] = r
                 if r:
                     self._drop_tr(e)
                 else:
-                    insort(self._tr, (self.g.e_tail[e], self.g.e_head[e]))
+                    insort(self._tr, (e_tail[e], e_head[e]))
 
     def _drop_tr(self, e: int) -> None:
         """Remove edge ``e`` from the kept reduction."""
@@ -293,8 +285,10 @@ class TrDag:
         return len(self._tr)
 
     def ledgers(self) -> tuple[dict[Edge, int], dict[Edge, bool], dict[Edge, bool]]:
-        """Live-edge view of the maintained counters and witness bits."""
-        count = {edge: self.count[e] for edge, e in self.g.eid.items()}
-        tx = {edge: bool(self.tx[e]) for edge, e in self.g.eid.items()}
-        ty = {edge: bool(self.ty[e]) for edge, e in self.g.eid.items()}
+        """Live-edge view of the maintained counters and of the witness bits
+        read off the end roots' cursors."""
+        eid, states = self.g.eid, self.states
+        count = {edge: self.count[e] for edge, e in eid.items()}
+        tx = {(x, y): x in states and states[x].in_query(y) for x, y in eid}
+        ty = {(x, y): y in states and states[y].out_query(x) for x, y in eid}
         return count, tx, ty

@@ -52,6 +52,9 @@ D3_STREAM = "dtr v1 n=3 mode=dag\nins 1 1 2 1 3\nins 3 3 2\ntr\nred 1 2\n"
 # drops; deleting (2, 3) then leaves the cycle 1 -> 2 -> 1 and (3, 1)
 G3_STREAM = "dtr v1 n=3 mode=general\nins 1 1 2 3 1\nins 2 2 1 2 3\ntr\ndel 2 3\ntr\n"
 
+ENGINES = [("dag", "comb"), ("dag", "alg"), ("general", "comb"), ("general", "alg")]
+ORACLES = [("dag", "oracle"), ("general", "oracle")]
+
 
 class TestParse:
     def test_well_formed_stream(self):
@@ -278,13 +281,14 @@ class TestBench:
         updates = random_update_stream(6, 10, "dag", seed=4)
         assert len(text.splitlines()) == len(updates) + 1
 
-    def test_non_timing_columns_deterministic(self):
+    @pytest.mark.parametrize("mode,engine", ENGINES + ORACLES)
+    def test_non_timing_columns_deterministic(self, mode, engine):
         def strip_micros(text):
             rows = [line.split(",") for line in text.splitlines()]
             return [row[:5] + row[6:] for row in rows]
 
-        a = bench(7, 12, "general", "comb", seed=9)
-        b = bench(7, 12, "general", "comb", seed=9)
+        a = bench(7, 12, mode, engine, seed=9)
+        b = bench(7, 12, mode, engine, seed=9)
         assert strip_micros(a) == strip_micros(b)
 
     def test_alg_engine_rows(self):
@@ -430,10 +434,6 @@ class TestMain:
         assert ex.value.code == 2
         assert f"error: {flag} must" in capsys.readouterr().err
         assert not out.exists()
-
-
-ENGINES = [("dag", "comb"), ("dag", "alg"), ("general", "comb"), ("general", "alg")]
-ORACLES = [("dag", "oracle"), ("general", "oracle")]
 
 
 def d3_on(mode, engine):

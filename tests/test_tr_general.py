@@ -1,6 +1,7 @@
 """General-digraph reduction engine: fixtures, minimality, oracle checks."""
 
 import hashlib
+import os
 import random
 
 import pytest
@@ -16,7 +17,7 @@ from dyntr import (
     TrGeneral,
     minimal_scss,
 )
-from dyntr.errors import BadUpdate, MissingEdge, NotStronglyConnected
+from dyntr.errors import BadUpdate, MissingEdge, NotStronglyConnected, TooLarge
 from dyntr.oracle import (
     brute_minimal_scss,
     brute_redundant,
@@ -28,7 +29,7 @@ from dyntr.oracle import (
 )
 from dyntr import tr_general
 from dyntr.scc_snapshots import split_edges
-from dyntr.tr_general import has_detour
+from dyntr.tr_general import _BYTES_PER_ROOT, has_detour
 
 PROPERTY_SETTINGS = settings(
     max_examples=100,
@@ -75,11 +76,22 @@ class TestMinimalScss:
         assert kept == set(edges)
 
     @pytest.mark.parametrize(
-        "stray", [(3, 1), (1, 3), (1, 2, 3), 1], ids=["tail", "head", "triple", "int"]
+        "stray",
+        [(3, 1), (1, 3), (1, 2, 3), 1, ([1], 2)],
+        ids=["tail", "head", "triple", "int", "unhashable-tail"],
     )
     def test_endpoint_outside_vertices_rejected(self, stray):
         with pytest.raises(BadUpdate):
             minimal_scss([1, 2], [(1, 2), (2, 1), stray])
+
+    @pytest.mark.parametrize(
+        "verts,edges",
+        [([[1]], []), (5, []), ([1], 5)],
+        ids=["unhashable-vertex", "int-vertices", "int-edges"],
+    )
+    def test_malformed_arguments_rejected(self, verts, edges):
+        with pytest.raises(BadUpdate):
+            minimal_scss(verts, edges)
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(BadUpdate, match="vertex 1 repeated"):
@@ -448,3 +460,32 @@ def test_reduction_digest_over_seeded_histories(cls):
     assert digest.hexdigest() == (
         "d0dac09229b0c39f683d0b4d06d9583451e55d0d53d66ba424067f3f85b117ca"
     )
+
+
+def engine_view(eng):
+    views = {z: (bytes(v.desc), bytes(v.anc)) for z, v in eng.scc.views.items()}
+    return eng.tr_edges(), eng.ledgers(), dict(eng.g.eid), views
+
+
+def test_a_new_root_past_memory_leaves_the_engine_as_it_was(monkeypatch):
+    n = 20
+    eng, twin = TrGeneral(n), TrGeneral(n)
+    for e in (eng, twin):
+        e.insert_centered(1, [(1, 2), (1, 3)])
+        e.insert_centered(2, [(2, 4)])
+    # room for two roots' views, not for a third
+    pages = _BYTES_PER_ROOT * (n + 1) * 2
+    monkeypatch.setattr(os, "sysconf", lambda name: 1 if name == "SC_PAGE_SIZE" else pages)
+    for e in (eng, twin):
+        # re-centering a root builds no new view
+        e.insert_centered(1, [(1, 5)])
+        e.delete_edges([(1, 3)])
+    # the batch would close the cycle 1 -> 2 -> 3 -> 1
+    with pytest.raises(TooLarge):
+        eng.insert_centered(3, [(3, 1), (2, 3)])
+    assert engine_view(eng) == engine_view(twin)
+    monkeypatch.undo()
+    for e in (eng, twin):
+        e.insert_centered(3, [(3, 1), (2, 3)])
+    assert engine_view(eng) == engine_view(twin)
+    assert validity_triple(n, eng.g.edge_list(), eng.tr_edges()) is None
