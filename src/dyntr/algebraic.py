@@ -40,7 +40,7 @@ from itertools import chain, compress
 
 import numpy as np
 
-from .errors import DenominatorZero, MissingEdge, SingularMatrix
+from .errors import DenominatorZero, SingularMatrix
 from .graph_core import Edge, TimestampedGraph, _count, _fit_in_memory, _vertex
 # minimal_scss stays bound here too: the benchmark's layer trace wraps it
 from .tr_general import general_reduction, minimal_scss  # noqa: F401
@@ -326,7 +326,7 @@ class AlgebraicDag:
         if type(x) is not int or type(y) is not int:
             x, y = _vertex(x), _vertex(y)
         if (x, y) not in self.g.eid:
-            raise MissingEdge(f"edge ({x}, {y}) is not live")
+            raise self.g.not_live(x, y)
         return self.state.entry(x - 1, 2 * self.n + y - 1) != 0
 
     def tr_edges(self) -> list[Edge]:
@@ -443,7 +443,7 @@ class AlgebraicGeneral:
         if type(x) is not int or type(y) is not int:
             x, y = _vertex(x), _vertex(y)
         if (x, y) not in self.g.eid:
-            raise MissingEdge(f"edge ({x}, {y}) is not live")
+            raise self.g.not_live(x, y)
         i, j = x - 1, y - 1
         a = int(self.state.m[i, j])
         minv = self.state.minv

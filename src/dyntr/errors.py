@@ -12,7 +12,8 @@ class BadUpdate(DynTrError, ValueError):
 
     Also raised for a vertex that is not an int (``operator.index`` fails),
     in an update or in a query, for an edge that is not a (tail, head)
-    tuple or a batch that is not iterable, by ``minimal_scss`` for a
+    tuple, or whose vertex lies outside [1..n] in a deletion or a query,
+    for a batch that is not iterable, by ``minimal_scss`` for a
     repeated vertex, an edge that is not a pair, or an edge with an
     endpoint outside the vertices it was given, by a constructor given a
     vertex count (or inverse size) below 1, and by ``cli.make_engine``

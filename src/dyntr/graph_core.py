@@ -88,7 +88,6 @@ class TimestampedGraph:
     __slots__ = (
         "n",
         "acyclic",
-        "m",
         "last_ts",
         "center_ts",
         "eid",
@@ -112,7 +111,6 @@ class TimestampedGraph:
         self.n = n = _count(n, "vertex count")
         _fit_in_memory(_BYTES_PER_VERTEX * n, f"a graph on {n} vertices")
         self.acyclic = acyclic
-        self.m = 0
         self.last_ts = 0
         self.center_ts = [0] * (n + 1)
         self.eid: dict[Edge, int] = {}
@@ -140,7 +138,14 @@ class TimestampedGraph:
         try:
             return self.e_ts[self.eid[(tail, head)]]
         except KeyError:
-            raise MissingEdge(f"edge ({tail}, {head}) is not live") from None
+            raise self.not_live(tail, head) from None
+
+    def not_live(self, tail: int, head: int) -> BadUpdate | MissingEdge:
+        """The error for an edge that is not live: ``BadUpdate`` when an
+        endpoint lies outside 1..n, else ``MissingEdge``."""
+        if 1 <= tail <= self.n and 1 <= head <= self.n:
+            return MissingEdge(f"edge ({tail}, {head}) is not live")
+        return BadUpdate(f"bad edge ({tail}, {head})")
 
     def edge_list(self) -> list[Edge]:
         """All live edges, sorted lexicographically."""
@@ -200,7 +205,7 @@ class TimestampedGraph:
             tail, head = _edge(edge)
             e = self.eid.get((tail, head), NIL)
             if e == NIL:
-                raise MissingEdge(f"edge ({tail}, {head}) is not live")
+                raise self.not_live(tail, head)
             if e in seen:
                 raise DuplicateEdge("edge repeated within the batch")
             seen.add(e)
@@ -220,7 +225,6 @@ class TimestampedGraph:
         _attach(self.out_first, self.out_last, self.out_nxt, self.out_prv, tail, e)
         _attach(self.in_first, self.in_last, self.in_nxt, self.in_prv, head, e)
         self.eid[(tail, head)] = e
-        self.m += 1
 
     def _unlink(self, e: int) -> None:
         tail, head = self.e_tail[e], self.e_head[e]
@@ -228,7 +232,6 @@ class TimestampedGraph:
         _detach(self.out_first, self.out_last, self.out_nxt, self.out_prv, tail, e)
         _detach(self.in_first, self.in_last, self.in_nxt, self.in_prv, head, e)
         del self.eid[(tail, head)]
-        self.m -= 1
 
 
 def _attach(first: list, last: list, nxt: list, prv: list, v: int, e: int) -> None:

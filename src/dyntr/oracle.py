@@ -588,5 +588,5 @@ class OracleEngine:
     def is_redundant(self, x: int, y: int) -> bool:
         x, y = _vertex(x), _vertex(y)
         if (x, y) not in self.g.eid:
-            raise MissingEdge(f"edge ({x}, {y}) is not live")
+            raise self.g.not_live(x, y)
         return brute_redundant(self.g.n, list(self.g.eid), x, y)

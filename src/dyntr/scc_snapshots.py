@@ -20,7 +20,8 @@ edge from a reached vertex whose tree path to the root avoids every
 vertex still waiting for a parent.  When every lost vertex finds one,
 each old tree path is rerouted over live edges, so the reached set is
 unchanged and only the parent array is new.  A side where some lost
-vertex finds no parent in that one pass is searched again.
+vertex finds no parent in that one pass is searched again.  Only such a
+search can shrink a view's reach, so ``delete`` reports those views.
 
 A global table of parallel edge groups is kept alongside, on the current
 graph: all live edges joining the same ordered pair of components form
@@ -297,16 +298,19 @@ class SccSnapshots:
 
     # ---- deletion ----
 
-    def delete(self, removed_ids: Iterable[int]) -> None:
+    def delete(self, removed_ids: Iterable[int]) -> list[tuple[_RootView, _RootView]]:
         """Replace every view whose snapshot held one of the removed ids.
 
         A side whose tree lost an edge is repaired by ``_reparent``, and
-        searched again only when that fails.  The group table is then
+        searched again only when that fails; a view with both sides
+        repaired keeps its reached arrays.  Returns the ``(old, new)`` pair
+        of each view with a side searched again.  The group table is then
         updated by ``_drop_from_groups``.
         """
         g, e_ts = self.g, self.g.e_ts
         ids = list(removed_ids)
         views = self.views
+        searched = []
         for root, old in views.items():
             hit = [e for e in ids if e_ts[e] <= old.limit]
             if not hit:
@@ -317,7 +321,9 @@ class SccSnapshots:
                 views[root] = _RootView(g, root, *out_side, *in_side)
             else:
                 views[root] = self._build_view(root, out_side, in_side)
+                searched.append((old, views[root]))
         self._drop_from_groups(ids)
+        return searched
 
     # ---- parallel groups on the current graph ----
 

@@ -62,7 +62,6 @@ from itertools import compress
 import numpy as np
 
 from .dec_reach import DecReach
-from .errors import MissingEdge
 from .graph_core import NIL, Edge, TimestampedGraph, _fit_in_memory, _vertex
 
 # bytes per vertex that a newly centered root adds, by tracemalloc at
@@ -274,7 +273,7 @@ class TrDag:
             x, y = _vertex(x), _vertex(y)
         e = self.g.eid.get((x, y))
         if e is None:
-            raise MissingEdge(f"edge ({x}, {y}) is not live")
+            raise self.g.not_live(x, y)
         return self._red[e] == 1
 
     def tr_edges(self) -> list[Edge]:

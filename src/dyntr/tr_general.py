@@ -19,17 +19,18 @@ builds the parallel-group table, and reuses the spanning subset of a
 component whose edges are unchanged since the engine's previous call.
 
 The engine keeps its inter-component ledgers as counters over the
-per-root snapshot views.  An update adjusts them by the share of each
-view it replaced, which it reads off the objects ``SccSnapshots``
-swaps in; only an update that changes the condensation, and with it
-every component label, recounts all views.
+per-root snapshot views, keyed by edge id.  An insertion swaps the
+center's view; a deletion takes the removed edges' shares out, then
+swaps the views that ``SccSnapshots.delete`` reports as searched again.
+Only an update that changes the condensation, and with it every
+component label, recounts all views.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 
-from .errors import BadUpdate, MissingEdge, NotStronglyConnected
+from .errors import BadUpdate, NotStronglyConnected
 from .graph_core import Edge, TimestampedGraph, _count, _fit_in_memory, _vertex, has_detour
 from .scc_snapshots import SccSnapshots, _RootView, split_edges
 
@@ -40,10 +41,6 @@ _BYTES_PER_VERTEX = 169
 # bytes per vertex that a newly centered root's view adds, by tracemalloc
 # at n = 4000 over 200 new roots: 10.8 at rest, 11.1 at an insertion's peak
 _BYTES_PER_ROOT = 12
-
-# an edge between components: (tail, head, timestamp, tail component,
-# head component)
-_Row = tuple[int, int, int, int, int]
 
 
 def _reached(adj: dict[int, set[int]], src: int) -> set[int]:
@@ -192,16 +189,16 @@ class TrGeneral:
     but every component membership test is taken in the current graph and
     the witness roots range over all centered vertices sharing the
     relevant endpoint component.  The ledgers are counters over the
-    per-root snapshot views: ``count[e]`` per inter-component edge, and
-    ``n_in``/``n_out``, keyed by (root component, component), which count
-    the (view, edge) witnesses of an edge entering or leaving a component.
-    An edge from component ct to ch has ``tx`` iff ``n_in[(ct, ch)] > 0``
-    and ``ty`` iff ``n_out[(ch, ct)] > 0``.  With the condensation
-    unchanged, an insertion swaps the center's old view for its new one,
-    the only view that holds the new edges; a deletion takes the removed
-    edges' shares out under the old views, then swaps each view with a
-    side that was searched again (a re-parented side keeps its reached
-    set).  A new condensation moves every label, so the full pass counts
+    per-root snapshot views: ``count[e]`` per live inter-component edge
+    id, and ``n_in``/``n_out``, keyed by (root component, component),
+    which count the (view, edge) witnesses of an edge entering or leaving
+    a component.  An edge from component ct to ch has ``tx`` iff
+    ``n_in[(ct, ch)] > 0`` and ``ty`` iff ``n_out[(ch, ct)] > 0``.  With
+    the condensation unchanged, an insertion swaps the center's old view
+    for its new one, the only view that holds the new edges; a deletion
+    takes the removed edges' shares out under the views in place, then
+    swaps each view that ``SccSnapshots.delete`` reports as searched
+    again.  A new condensation moves every label, so the full pass counts
     all views afresh.  The reduction is the union of the per-component
     minimal strongly connected subsets and the marked group
     representatives whose ledgers are all zero.
@@ -231,68 +228,48 @@ class TrGeneral:
         if scc.comp_cur is not comp:
             self._full_pass()
             return
-        for t, h, _, _, _ in self._rows(ids):
-            self.count[(t, h)] = 0
-        inter = self._inter_edges()
+        for e in ids:
+            if comp[g.e_tail[e]] != comp[g.e_head[e]]:
+                self.count[e] = 0
         # the new edges carry the newest stamp, so no other view holds them
-        if old is not None:
-            self._contribute(old, inter, -1)
-        self._contribute(scc.views[center], inter, 1)
+        self._swap(old, scc.views[center])
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
         ids = self.g.apply_delete(removed)
-        scc, comp = self.scc, self.scc.comp_cur
-        old_views = dict(scc.views)
-        scc.delete(ids)
+        scc, comp, count = self.scc, self.scc.comp_cur, self.count
+        gone = [e for e in ids if e in count]
+        if gone:
+            # under the views from before the deletion, which held the edges
+            for view in scc.views.values():
+                self._contribute(view, gone, -1)
+            for e in gone:
+                del count[e]
+        searched = scc.delete(ids)
         if scc.comp_cur is not comp:
             self._full_pass()
             return
-        gone = self._rows(ids)
-        if gone:
-            for view in old_views.values():
-                self._contribute(view, gone, -1)
-            for t, h, _, _, _ in gone:
-                del self.count[(t, h)]
-        # a re-parented side keeps its reached array, so only a side that
-        # was searched again moves the ledgers
-        swapped = [
-            (old_views[root], view)
-            for root, view in scc.views.items()
-            if view.desc is not old_views[root].desc or view.anc is not old_views[root].anc
-        ]
-        if swapped:
-            inter = self._inter_edges()
-            for old, view in swapped:
-                self._contribute(old, inter, -1)
-                self._contribute(view, inter, 1)
+        for old, new in searched:
+            self._swap(old, new)
 
-    def _rows(self, ids: Iterable[int]) -> list[_Row]:
-        """The row of each edge among ``ids`` that joins two components."""
-        g, comp = self.g, self.scc.comp_cur
-        rows: list[_Row] = []
-        for e in ids:
-            t, h = g.e_tail[e], g.e_head[e]
-            if comp[t] != comp[h]:
-                rows.append((t, h, g.e_ts[e], comp[t], comp[h]))
-        return rows
-
-    def _inter_edges(self) -> list[_Row]:
-        """The rows of every live edge between components, read off the
-        group table."""
-        eid = self.g.eid
-        return self._rows([eid[m] for group in self.scc.groups.values() for m in group.members])
+    def _swap(self, old: _RootView | None, new: _RootView) -> None:
+        """Replace ``old``'s share (none for a new root) by ``new``'s."""
+        if old is not None:
+            self._contribute(old, self.count, -1)
+        self._contribute(new, self.count, 1)
 
     def _full_pass(self) -> None:
         """Count every view afresh, on a new condensation."""
-        inter = self._inter_edges()
-        self.count: dict[Edge, int] = {(t, h): 0 for t, h, _, _, _ in inter}
+        eid = self.g.eid
+        self.count: dict[int, int] = {
+            eid[m]: 0 for group in self.scc.groups.values() for m in group.members
+        }
         self.n_in: dict[tuple[int, int], int] = {}
         self.n_out: dict[tuple[int, int], int] = {}
         for view in self.scc.views.values():
-            self._contribute(view, inter, 1)
+            self._contribute(view, self.count, 1)
 
-    def _contribute(self, view: _RootView, inter: list[_Row], sign: int) -> None:
-        """Add (``sign`` 1) or remove (-1) one view's share over ``inter``.
+    def _contribute(self, view: _RootView, ids: Iterable[int], sign: int) -> None:
+        """Add (``sign`` 1) or remove (-1) a view's share over edge ids ``ids``.
 
         An edge (t, h) of the view's snapshot, from component ct to ch,
         with r the root's component: t reached from the root is an
@@ -301,46 +278,55 @@ class TrGeneral:
         when it lies outside both components and its tail is an ancestor
         and its head a descendant.
         """
-        r = self.scc.comp_cur[view.root]
+        g, comp = self.g, self.scc.comp_cur
+        e_tail, e_head, e_ts = g.e_tail, g.e_head, g.e_ts
+        r = comp[view.root]
         desc, anc, limit = view.desc, view.anc, view.limit
         count, n_in, n_out = self.count, self.n_in, self.n_out
-        for t, h, ts, ct, ch in inter:
-            if ts > limit:
+        for e in ids:
+            if e_ts[e] > limit:
                 continue
+            t, h = e_tail[e], e_head[e]
+            ct, ch = comp[t], comp[h]
             if ct != r:
                 if desc[t]:
                     n_in[(r, ch)] = n_in.get((r, ch), 0) + sign
                 if ch != r and anc[t] and desc[h]:
-                    count[(t, h)] += sign
+                    count[e] += sign
             if ch != r and anc[h]:
                 n_out[(r, ct)] = n_out.get((r, ct), 0) + sign
 
     # ---- queries ----
 
-    def _zero(self, e: Edge, ct: int, ch: int) -> bool:
-        """True iff all three ledgers of ``e``, from component ct to ch, are zero."""
+    def _zero(self, e: int, ct: int, ch: int) -> bool:
+        """True iff all three ledgers of edge id ``e``, from component ct to
+        ch, are zero."""
         return not (self.count[e] or self.n_in.get((ct, ch)) or self.n_out.get((ch, ct)))
 
     def tr_edges(self) -> list[Edge]:
+        eid = self.g.eid
+
         def keep_group(members: list[Edge], cf: int, ct: int) -> bool:
-            return self._zero(members[0], cf, ct)
+            return self._zero(eid[members[0]], cf, ct)
 
         return general_reduction(self.g, self.scc.comp_cur, keep_group, self._scss)
 
     def is_redundant(self, x: int, y: int) -> bool:
         if type(x) is not int or type(y) is not int:
             x, y = _vertex(x), _vertex(y)
-        if (x, y) not in self.g.eid:
-            raise MissingEdge(f"edge ({x}, {y}) is not live")
+        e = self.g.eid.get((x, y))
+        if e is None:
+            raise self.g.not_live(x, y)
         comp = self.scc.comp_cur
         cx, cy = comp[x], comp[y]
         if cx == cy:
             return has_detour(self.g, x, y)
-        return self.scc.groups[(cx, cy)].size > 1 or not self._zero((x, y), cx, cy)
+        return self.scc.groups[(cx, cy)].size > 1 or not self._zero(e, cx, cy)
 
     def ledgers(self) -> tuple[dict[Edge, int], dict[Edge, bool], dict[Edge, bool]]:
         """Live inter-component edge view of the maintained ledgers."""
-        comp, n_in, n_out = self.scc.comp_cur, self.n_in, self.n_out
-        tx = {(t, h): bool(n_in.get((comp[t], comp[h]))) for t, h in self.count}
-        ty = {(t, h): bool(n_out.get((comp[h], comp[t]))) for t, h in self.count}
-        return dict(self.count), tx, ty
+        g, comp, n_in, n_out = self.g, self.scc.comp_cur, self.n_in, self.n_out
+        count = {(g.e_tail[e], g.e_head[e]): c for e, c in self.count.items()}
+        tx = {(t, h): bool(n_in.get((comp[t], comp[h]))) for t, h in count}
+        ty = {(t, h): bool(n_out.get((comp[h], comp[t]))) for t, h in count}
+        return count, tx, ty

@@ -637,7 +637,8 @@ def test_numpy_int_vertices_work_like_ints(mode, engine):
 
 @pytest.mark.parametrize("mode,engine", ENGINES + ORACLES)
 def test_queries_check_their_vertices(mode, engine):
-    eng = make_engine(mode, engine, 3, seed=5)
+    n = 3
+    eng = make_engine(mode, engine, n, seed=5)
     eng.insert_centered(1, [(1, 2)])
     for x, y in [(1.0, 2), (1, 2.0), ("1", 2), (None, 2)]:
         with pytest.raises(BadUpdate, match="a vertex is an int"):
@@ -645,6 +646,13 @@ def test_queries_check_their_vertices(mode, engine):
     assert eng.is_redundant(np.int64(1), np.int32(2)) is eng.is_redundant(1, 2) is False
     with pytest.raises(MissingEdge):
         eng.is_redundant(np.int64(2), 1)
+    # a vertex outside 1..n is a bad input, not a missing edge
+    for x, y in [(0, 2), (1, n + 1)]:
+        with pytest.raises(BadUpdate, match="bad edge"):
+            eng.is_redundant(x, y)
+        with pytest.raises(BadUpdate, match="bad edge"):
+            eng.delete_edges([(x, y)])
+    assert eng.tr_edges() == [(1, 2)]
 
 
 @st.composite

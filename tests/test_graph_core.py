@@ -39,7 +39,7 @@ def test_first_insertion_stamps():
     ids = g.apply_insert_centered(1, [(1, 3), (1, 2)])
     assert ids == [g.eid[(1, 2)], g.eid[(1, 3)]] == [0, 1]
     assert g.last_ts == 1
-    assert g.m == 2
+    assert len(g.eid) == 2
     assert g.center_ts[1] == 1
 
 
@@ -66,7 +66,7 @@ def test_bad_insertion_is_a_dyntr_value_error(batch):
     with pytest.raises(BadUpdate) as err:
         g.apply_insert_centered(1, batch)
     assert isinstance(err.value, ValueError)
-    assert g.m == 0 and g.last_ts == 0
+    assert len(g.eid) == 0 and g.last_ts == 0
 
 
 def test_insert_duplicate():
@@ -99,18 +99,22 @@ def test_cycle_probe_rejects_and_rolls_back():
     h.apply_insert_centered(1, [(1, 2)])
     h.apply_insert_centered(2, [(2, 3)])
     h.apply_insert_centered(3, [(3, 1)])
-    assert h.m == 3
+    assert len(h.eid) == 3
 
 
 def test_delete_examples():
     g = build_d3()
     g.apply_delete([(1, 2)])
-    assert g.m == 2
+    assert len(g.eid) == 2
     with pytest.raises(MissingEdge):
+        g.apply_delete([(1, 2)])
+    # vertices outside 1..n make a bad edge, not a missing one
+    with pytest.raises(BadUpdate):
         g.apply_delete([(9, 9)])
+    assert len(g.eid) == 2
     g2 = build_d3()
     g2.apply_delete([(1, 2), (3, 2)])
-    assert g2.m == 1
+    assert len(g2.eid) == 1
     reach = oracle.transitive_closure(3, g2.edge_list())
     assert not reach[1] >> 2 & 1
 

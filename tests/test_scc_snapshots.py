@@ -444,9 +444,13 @@ def test_lost_tree_edge_is_reparented_or_searched(
     for center, batch in batches:
         g.apply_insert_centered(center, [orient(e) for e in batch])
         scc.rebuild(center)
+    views = dict(scc.views)
     built = spy(monkeypatch, "_build_view")
-    scc.delete(g.apply_delete([orient(e) for e in removed]))
+    searched = scc.delete(g.apply_delete([orient(e) for e in removed]))
     assert built == rebuilt
+    # delete reports each searched view, old and new
+    assert [new.root for _, new in searched] == rebuilt
+    assert all(old is views[new.root] and new is scc.views[new.root] for old, new in searched)
     assert_views_exact(g, scc)
 
 

@@ -3,6 +3,8 @@
 import hashlib
 import os
 import random
+import statistics
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -489,3 +491,24 @@ def test_a_new_root_past_memory_leaves_the_engine_as_it_was(monkeypatch):
         e.insert_centered(3, [(3, 1), (2, 3)])
     assert engine_view(eng) == engine_view(twin)
     assert validity_triple(n, eng.g.edge_list(), eng.tr_edges()) is None
+
+
+def test_a_new_root_insertion_peaks_at_its_view():
+    # one hub feeds every vertex, so every live edge joins two components
+    # and each later center is a new root
+    n, k = 2000, 100
+    eng = TrGeneral(n)
+    eng.insert_centered(1, [(1, v) for v in range(2, n + 1)])
+    peaks = []
+    tracemalloc.start()
+    try:
+        for v in range(2, 2 + k):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            eng.insert_centered(v, [(v, v + k)])
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert len(eng.scc.views) == k + 1 and len(eng.ledgers()[0]) == n - 1 + k
+    # the median: a single insertion may also grow a dict
+    assert statistics.median(peaks) <= _BYTES_PER_ROOT * (n + 1)
