@@ -141,9 +141,9 @@ class TimestampedGraph:
             raise self.not_live(tail, head) from None
 
     def not_live(self, tail: int, head: int) -> BadUpdate | MissingEdge:
-        """The error for an edge that is not live: ``BadUpdate`` when an
-        endpoint lies outside 1..n, else ``MissingEdge``."""
-        if 1 <= tail <= self.n and 1 <= head <= self.n:
+        """The error for an edge that is not live: ``BadUpdate`` for a
+        self-loop or an endpoint outside 1..n, else ``MissingEdge``."""
+        if 1 <= tail <= self.n and 1 <= head <= self.n and tail != head:
             return MissingEdge(f"edge ({tail}, {head}) is not live")
         return BadUpdate(f"bad edge ({tail}, {head})")
 
@@ -168,6 +168,8 @@ class TimestampedGraph:
         if len(batch) != len(raw):
             raise DuplicateEdge("edge repeated within the batch")
         n = self.n
+        if not 1 <= center <= n:
+            raise BadUpdate(f"bad center {center}")
         for tail, head in batch:
             if not (1 <= tail <= n and 1 <= head <= n) or tail == head:
                 raise BadUpdate(f"bad edge ({tail}, {head})")

@@ -23,15 +23,14 @@ unchanged and only the parent array is new.  A side where some lost
 vertex finds no parent in that one pass is searched again.  Only such a
 search can shrink a view's reach, so ``delete`` reports those views.
 
-A global table of parallel edge groups is kept alongside, on the current
-graph: all live edges joining the same ordered pair of components form
-one group, ordered by age, and the front member is the marked one.  The
-condensation behind it is recomputed only when an update can change it:
-an insertion whose new edge joins two different components and lies on
-a cycle, or a deletion of an edge inside a component whose tail no
-longer reaches its head.  Any other insertion only appends its new
-edges between components to their groups, and any other deletion only
-drops the removed edges from their groups.
+The condensation of the current graph is kept alongside, and recomputed
+only when an update can change it: an insertion whose new edge joins
+two different components and lies on a cycle, or a deletion of an edge
+inside a component whose tail no longer reaches its head.  The parallel
+edge groups are not kept: all live edges joining the same ordered pair
+of components form one group, ordered by age, with the front member the
+marked one, and ``split_edges`` forms them from the condensation when
+they are asked for.
 """
 
 from __future__ import annotations
@@ -244,13 +243,11 @@ class _RootView:
 
 
 class SccSnapshots:
-    """Snapshot reachability views plus the current-graph parallel-group table."""
+    """Snapshot reachability views plus the current graph's condensation."""
 
     def __init__(self, g: TimestampedGraph) -> None:
         self.g = g
         self.views: dict[int, _RootView] = {}
-        self.comp_cur: list[int] = list(range(g.n + 1))
-        self.groups: dict[tuple[int, int], ParallelGroup] = {}
         self.refresh_groups()
 
     # ---- view construction ----
@@ -279,22 +276,16 @@ class SccSnapshots:
         which of them lie on a cycle: (t, h), with t or h the root, does
         iff the root reaches t and h reaches the root.  Only such an edge
         between two components merges components, and only then is the
-        whole table recomputed.  Until then, each new edge between
-        components joins the back of its group, or opens one.
+        condensation recomputed.
         """
         view = self.views[root] = self._build_view(root)
-        g, comp, groups = self.g, self.comp_cur, self.groups
-        e_ts, e_tail, e_head = g.e_ts, g.e_tail, g.e_head
+        g, comp = self.g, self.comp_cur
         # ids follow age, so e_ts is sorted
-        for e in range(bisect_left(e_ts, g.center_ts[root]), len(e_ts)):
-            t, h = e_tail[e], e_head[e]
-            if comp[t] != comp[h]:
-                if view.desc[t] and view.anc[h]:
-                    self.refresh_groups()
-                    return
-                key = (comp[t], comp[h])
-                group = groups.get(key)
-                groups[key] = ParallelGroup((group.members if group else ()) + ((t, h),))
+        for e in range(bisect_left(g.e_ts, g.center_ts[root]), len(g.e_ts)):
+            t, h = g.e_tail[e], g.e_head[e]
+            if comp[t] != comp[h] and view.desc[t] and view.anc[h]:
+                self.refresh_groups()
+                return
 
     # ---- deletion ----
 
@@ -304,8 +295,9 @@ class SccSnapshots:
         A side whose tree lost an edge is repaired by ``_reparent``, and
         searched again only when that fails; a view with both sides
         repaired keeps its reached arrays.  Returns the ``(old, new)`` pair
-        of each view with a side searched again.  The group table is then
-        updated by ``_drop_from_groups``.
+        of each view with a side searched again.  The condensation is then
+        recomputed only if a removed edge inside a component leaves its tail
+        without a detour to its head; with one, every old path can take it.
         """
         g, e_ts = self.g, self.g.e_ts
         ids = list(removed_ids)
@@ -322,39 +314,23 @@ class SccSnapshots:
             else:
                 views[root] = self._build_view(root, out_side, in_side)
                 searched.append((old, views[root]))
-        self._drop_from_groups(ids)
-        return searched
-
-    # ---- parallel groups on the current graph ----
-
-    def _drop_from_groups(self, removed_ids: list[int]) -> None:
-        """Take removed edges out of the group table.
-
-        A removed edge inside a component whose tail still reaches its
-        head leaves the component whole, since every old path can take
-        the detour; if all of them do, the condensation stands and each
-        removed edge between components only leaves its group.
-        """
-        g, comp = self.g, self.comp_cur
-        removed = [(g.e_tail[e], g.e_head[e]) for e in removed_ids]
+        comp, removed = self.comp_cur, [(g.e_tail[e], g.e_head[e]) for e in ids]
         if any(comp[t] == comp[h] and not has_detour(g, t, h) for t, h in removed):
             self.refresh_groups()
-            return
-        groups = self.groups
-        for t, h in removed:
-            key = (comp[t], comp[h])
-            if key[0] == key[1]:
-                continue
-            members = tuple(m for m in groups[key].members if m != (t, h))
-            if members:
-                groups[key] = ParallelGroup(members)
-            else:
-                del groups[key]
+        return searched
+
+    # ---- the condensation and its parallel groups ----
 
     def refresh_groups(self) -> None:
-        comp = self.comp_cur = condensation(self.g)
-        _, inter = split_edges(self.g, comp)
-        self.groups = {key: ParallelGroup(tuple(m)) for key, m in inter.items()}
+        """Recompute the condensation; the layer trace times it by this name."""
+        self.comp_cur = condensation(self.g)
+
+    @property
+    def groups(self) -> dict[tuple[int, int], ParallelGroup]:
+        """The parallel groups of the current graph, formed afresh on each
+        read; the checks and tests read them, the engines do not."""
+        _, inter = split_edges(self.g, self.comp_cur)
+        return {key: ParallelGroup(tuple(m)) for key, m in inter.items()}
 
     # ---- queries ----
 

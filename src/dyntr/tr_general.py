@@ -15,7 +15,7 @@ the combinatorial engine, whose ``is_redundant`` answers for an edge
 inside one component with the ``has_detour`` path probe of
 ``graph_core``.  ``general_reduction`` splits the live edges by
 component with ``split_edges`` of ``scc_snapshots``, the split that also
-builds the parallel-group table, and reuses the spanning subset of a
+forms the parallel groups, and reuses the spanning subset of a
 component whose edges are unchanged since the engine's previous call.
 
 The engine keeps its inter-component ledgers as counters over the
@@ -28,6 +28,7 @@ component label, recounts all views.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 
 from .errors import BadUpdate, NotStronglyConnected
@@ -193,7 +194,8 @@ class TrGeneral:
     id, and ``n_in``/``n_out``, keyed by (root component, component),
     which count the (view, edge) witnesses of an edge entering or leaving
     a component.  An edge from component ct to ch has ``tx`` iff
-    ``n_in[(ct, ch)] > 0`` and ``ty`` iff ``n_out[(ch, ct)] > 0``.  With
+    ``n_in[(ct, ch)] > 0`` and ``ty`` iff ``n_out[(ch, ct)] > 0``; its
+    parallel group has ``group_size[(ct, ch)]`` live edges.  With
     the condensation unchanged, an insertion swaps the center's old view
     for its new one, the only view that holds the new edges; a deletion
     takes the removed edges' shares out under the views in place, then
@@ -229,14 +231,16 @@ class TrGeneral:
             self._full_pass()
             return
         for e in ids:
-            if comp[g.e_tail[e]] != comp[g.e_head[e]]:
+            key = (comp[g.e_tail[e]], comp[g.e_head[e]])
+            if key[0] != key[1]:
                 self.count[e] = 0
+                self.group_size[key] += 1
         # the new edges carry the newest stamp, so no other view holds them
         self._swap(old, scc.views[center])
 
     def delete_edges(self, removed: Iterable[Edge]) -> None:
-        ids = self.g.apply_delete(removed)
-        scc, comp, count = self.scc, self.scc.comp_cur, self.count
+        g, scc, comp, count = self.g, self.scc, self.scc.comp_cur, self.count
+        ids = g.apply_delete(removed)
         gone = [e for e in ids if e in count]
         if gone:
             # under the views from before the deletion, which held the edges
@@ -244,6 +248,7 @@ class TrGeneral:
                 self._contribute(view, gone, -1)
             for e in gone:
                 del count[e]
+                self.group_size[(comp[g.e_tail[e]], comp[g.e_head[e]])] -= 1
         searched = scc.delete(ids)
         if scc.comp_cur is not comp:
             self._full_pass()
@@ -259,10 +264,14 @@ class TrGeneral:
 
     def _full_pass(self) -> None:
         """Count every view afresh, on a new condensation."""
-        eid = self.g.eid
-        self.count: dict[int, int] = {
-            eid[m]: 0 for group in self.scc.groups.values() for m in group.members
-        }
+        comp = self.scc.comp_cur
+        self.count: dict[int, int] = {}
+        self.group_size: Counter[tuple[int, int]] = Counter()
+        for (t, h), e in self.g.eid.items():
+            key = (comp[t], comp[h])
+            if key[0] != key[1]:
+                self.count[e] = 0
+                self.group_size[key] += 1
         self.n_in: dict[tuple[int, int], int] = {}
         self.n_out: dict[tuple[int, int], int] = {}
         for view in self.scc.views.values():
@@ -321,7 +330,7 @@ class TrGeneral:
         cx, cy = comp[x], comp[y]
         if cx == cy:
             return has_detour(self.g, x, y)
-        return self.scc.groups[(cx, cy)].size > 1 or not self._zero(e, cx, cy)
+        return self.group_size[(cx, cy)] > 1 or not self._zero(e, cx, cy)
 
     def ledgers(self) -> tuple[dict[Edge, int], dict[Edge, bool], dict[Edge, bool]]:
         """Live inter-component edge view of the maintained ledgers."""

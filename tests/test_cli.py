@@ -259,7 +259,7 @@ class TestRunStream:
             "dtr v1 n=3 mode=dag\nins 1 1 2 1 3\nins 3 3 2\ndel 1 3\ntr\n",
             stats_path=str(path),
         )
-        rows = list(csv.reader(path.open()))
+        rows = list(csv.reader(path.read_text().splitlines()))
         assert rows[0] == CSV_HEADER.split(",")
         assert len(rows) == 4  # header + one row per update, none for tr
         steps = [r[0] for r in rows[1:]]
@@ -514,6 +514,11 @@ def test_center_past_n_is_a_bad_update(mode, engine):
     eng = make_engine(mode, engine, 3, seed=5)
     with pytest.raises(BadUpdate):
         eng.insert_centered(4, [(4, 1)])
+    # a center outside 1..n is a bad input even when the edge lies inside
+    for center in (0, 4):
+        with pytest.raises(BadUpdate):
+            eng.insert_centered(center, [(1, 2)])
+        assert eng.tr_edges() == []
     eng.insert_centered(1, [(1, 2)])
     assert eng.tr_edges() == [(1, 2)]
 
@@ -646,8 +651,8 @@ def test_queries_check_their_vertices(mode, engine):
     assert eng.is_redundant(np.int64(1), np.int32(2)) is eng.is_redundant(1, 2) is False
     with pytest.raises(MissingEdge):
         eng.is_redundant(np.int64(2), 1)
-    # a vertex outside 1..n is a bad input, not a missing edge
-    for x, y in [(0, 2), (1, n + 1)]:
+    # a vertex outside 1..n or a self-loop is a bad input, not a missing edge
+    for x, y in [(0, 2), (1, n + 1), (1, 1)]:
         with pytest.raises(BadUpdate, match="bad edge"):
             eng.is_redundant(x, y)
         with pytest.raises(BadUpdate, match="bad edge"):

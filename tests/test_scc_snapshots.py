@@ -58,7 +58,7 @@ class TestGroups:
         assert group.size == 2
         assert group.marked == (1, 3)
         assert group.marked != (2, 4)
-        assert group_of(scc, 1, 3) is group
+        assert group_of(scc, 1, 3) == group
 
     def test_dag_groups_are_marked_singletons(self):
         g = TimestampedGraph(3)
@@ -482,7 +482,7 @@ def test_kept_condensation_matches_from_scratch(case):
 
 def test_kept_condensation_on_seeded_streams(monkeypatch):
     # counts the insertions that join two components without a refresh,
-    # so the check is known to cover the path that appends to groups
+    # so the check is known to cover insertions that keep the condensation
     refreshed = spy(monkeypatch, "refresh_groups")
     appended = 0
     for seed in range(60):

@@ -296,8 +296,12 @@ def test_group_exclusivity(case):
     for upd in updates:
         drive(eng, upd)
         tr = set(eng.tr_edges())
-        for group in eng.scc.groups.values():
+        groups = eng.scc.groups
+        for group in groups.values():
             assert len(tr.intersection(group.members)) <= 1
+        # the kept group sizes match the groups formed afresh
+        kept = {key: size for key, size in eng.group_size.items() if size}
+        assert kept == {key: group.size for key, group in groups.items()}
 
 
 @given(general_streams())
