@@ -135,10 +135,11 @@ class TimestampedGraph:
 
     def ts_of(self, tail: int, head: int) -> int:
         """Timestamp of a live edge."""
-        try:
-            return self.e_ts[self.eid[(tail, head)]]
-        except KeyError:
-            raise self.not_live(tail, head) from None
+        tail, head = _vertex(tail), _vertex(head)
+        e = self.eid.get((tail, head))
+        if e is None:
+            raise self.not_live(tail, head)
+        return self.e_ts[e]
 
     def not_live(self, tail: int, head: int) -> BadUpdate | MissingEdge:
         """The error for an edge that is not live: ``BadUpdate`` for a

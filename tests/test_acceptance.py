@@ -34,17 +34,19 @@ from dyntr.errors import DenominatorZero
 from dyntr.graph_core import InsertCentered
 from dyntr.oracle import (
     brute_tr_dag,
-    dag_path_count,
     random_update_stream,
-    recompute_dag_ledgers,
-    recompute_general_ledgers,
-    recompute_scc_inout,
     scc_partition,
-    transitive_closure,
     validity_triple,
 )
 from dyntr.tr_dag import TrDag
 from dyntr.tr_general import TrGeneral
+from reference import (
+    dag_path_count,
+    recompute_dag_ledgers,
+    recompute_general_ledgers,
+    recompute_scc_inout,
+    transitive_closure,
+)
 
 ARTIFACT_DIR = Path(__file__).resolve().parent.parent / "test_artifacts"
 

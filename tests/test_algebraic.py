@@ -29,10 +29,10 @@ from dyntr.errors import (
 )
 from dyntr.oracle import (
     brute_redundant,
-    dag_path_count,
     random_update_stream,
     validity_triple,
 )
+from reference import dag_path_count
 
 PROPERTY_SETTINGS = settings(
     max_examples=100,

@@ -8,11 +8,8 @@ from dyntr import DeleteSet, InsertCentered, TimestampedGraph
 from dyntr.dec_reach import DecReach
 from dyntr.errors import CyclicInput
 from dyntr.graph_core import NIL
-from dyntr.oracle import (
-    random_update_stream,
-    snapshot_edges_of,
-    transitive_closure,
-)
+from dyntr.oracle import random_update_stream
+from reference import snapshot_edges_of, transitive_closure
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,

@@ -19,6 +19,7 @@ from dyntr.errors import (
 from dyntr.graph_core import NIL, DeleteSet, InsertCentered, TimestampedGraph
 from dyntr.tr_dag import TrDag
 from dyntr.tr_general import TrGeneral
+import reference
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -49,7 +50,7 @@ def test_second_insertion_extends_chain():
     assert g.center_ts[2] == 0
     assert g.center_ts[1] == 1
     assert g.center_ts[3] == 2
-    snap = lambda r: set(oracle.snapshot_edges_of(g, r))
+    snap = lambda r: set(reference.snapshot_edges_of(g, r))
     assert snap(2) <= snap(1) <= snap(3)
     assert snap(3) == {(1, 2), (1, 3), (3, 2)}
 
@@ -115,15 +116,31 @@ def test_delete_examples():
     g2 = build_d3()
     g2.apply_delete([(1, 2), (3, 2)])
     assert len(g2.eid) == 1
-    reach = oracle.transitive_closure(3, g2.edge_list())
+    reach = reference.transitive_closure(3, g2.edge_list())
     assert not reach[1] >> 2 & 1
 
 
 def test_snapshots_observe_deletions():
     g = build_d3()
     g.apply_delete([(1, 2)])
-    assert sorted(oracle.snapshot_edges_of(g, 1)) == [(1, 3)]
-    assert sorted(oracle.snapshot_edges_of(g, 3)) == [(1, 3), (3, 2)]
+    assert sorted(reference.snapshot_edges_of(g, 1)) == [(1, 3)]
+    assert sorted(reference.snapshot_edges_of(g, 3)) == [(1, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("tail", ["1", None, 1.0])
+def test_ts_of_checks_its_vertices(tail):
+    g = build_d3()
+    with pytest.raises(BadUpdate, match="a vertex is an int"):
+        g.ts_of(tail, 2)
+
+
+def test_ts_of_names_a_bad_or_missing_edge():
+    g = build_d3()
+    assert g.ts_of(3, 2) == 2
+    with pytest.raises(BadUpdate, match="bad edge"):
+        g.ts_of(0, 1)
+    with pytest.raises(MissingEdge):
+        g.ts_of(2, 1)
 
 
 def _apply_stream(g: TimestampedGraph, updates) -> None:
@@ -145,7 +162,7 @@ def test_snapshot_nesting_on_random_histories(n, seed, mode):
     updates = oracle.random_update_stream(n, 25, mode, 0.45, seed=seed)
     _apply_stream(g, updates)
     assert sorted(g.eid) == sorted(oracle.replay(n, updates))
-    snaps = {r: set(oracle.snapshot_edges_of(g, r)) for r in range(1, n + 1)}
+    snaps = {r: set(reference.snapshot_edges_of(g, r)) for r in range(1, n + 1)}
     for u in range(1, n + 1):
         for v in range(1, n + 1):
             if g.center_ts[u] <= g.center_ts[v]:

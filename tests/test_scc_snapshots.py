@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 
 from dyntr import DeleteSet, InsertCentered, TimestampedGraph
 from dyntr.graph_core import NIL
-from dyntr.oracle import (
-    random_update_stream,
+from dyntr.oracle import random_update_stream, scc_partition
+from dyntr.scc_snapshots import SccSnapshots, _strong_components, condensation
+from reference import (
     recompute_scc_inout,
-    scc_partition,
     snapshot_edges_of,
     transitive_closure,
 )
-from dyntr.scc_snapshots import SccSnapshots, _strong_components, condensation
 
 PROPERTY_SETTINGS = settings(
     max_examples=100,

@@ -25,13 +25,13 @@ from dyntr.oracle import (
     brute_redundant,
     brute_tr_dag,
     random_update_stream,
-    recompute_general_ledgers,
     scc_partition,
     validity_triple,
 )
 from dyntr import tr_general
 from dyntr.scc_snapshots import split_edges
 from dyntr.tr_general import _BYTES_PER_ROOT, has_detour
+from reference import recompute_general_ledgers
 
 PROPERTY_SETTINGS = settings(
     max_examples=100,
