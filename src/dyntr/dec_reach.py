@@ -6,7 +6,8 @@ an out-neighbor among the proper ancestors), while edges are deleted.
 Per vertex and side the instance keeps one cursor into the shared
 timestamped adjacency of the graph, on the first incoming edge whose
 tail properly descends from the root, and per side the set of the far
-ends of the root's own edges.  A vertex stays reached while it has a
+ends of the root's own edges.  The cursors of a side are edge ids in one
+``array('i')``, 4 bytes per vertex.  A vertex stays reached while it has a
 cursor or an edge from the root.  A deleted cursor edge advances the
 cursor to the next such edge; a vertex left with neither is declared
 unreachable and cascades over its outgoing edges.  Cursors only ever
@@ -29,6 +30,9 @@ guarantee of the acyclic snapshots the cursor invariant needs.
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress
+
 from .errors import CyclicInput
 from .graph_core import NIL, TimestampedGraph
 
@@ -43,7 +47,7 @@ class DecReach:
     ``d_root``; ``p_out`` and ``a_root`` mirror this among the ancestors.
     A dropped vertex queues its edges away from the root, the only
     cursors it can be the far end of, so ``delete`` changes nothing
-    unless a removed snapshot edge has both endpoints on one side.
+    unless a removed snapshot edge is a cursor or a root edge.
     """
 
     __slots__ = (
@@ -101,15 +105,15 @@ class DecReach:
             e = nxt[e]
         return reached, ends, ops + len(ends)
 
-    def _cursors(self, reached: bytearray, back: tuple) -> tuple[list, int]:
+    def _cursors(self, reached: bytearray, back: tuple) -> tuple[array, int]:
         """Cursors of the reached vertices on their ``back`` lists; edges
         scanned."""
         first, nxt, far, _ = back
         root, limit, e_ts = self.root, self.limit, self.g.e_ts
-        p = [NIL] * len(first)
+        p = array("i", [NIL]) * len(first)
         ops = 0
-        for y in range(1, len(first)):
-            if reached[y] and y != root:
+        for y in compress(range(len(first)), reached):
+            if y != root:
                 e = first[y]
                 while e != NIL and e_ts[e] <= limit:
                     ops += 1
@@ -154,7 +158,7 @@ class DecReach:
         self,
         removed_ids: list[int],
         reached: bytearray,
-        p: list[int],
+        p: array,
         ends: set[int],
         walk: tuple,
         back: tuple,

@@ -27,30 +27,33 @@ edges that just became visible.  The reduction flags are then refreshed
 on the edges whose counter moved and on the center's own edges (whose
 witnesses the new cursors give, the fresh batch among them).
 
-A deletion visits a root only when a removed edge can hold one of its
-cursors or be one of its own edges.  Every cursor of a root z is a live
-snapshot edge with both endpoints among z's descendants (``p_in``) or
-both among its ancestors (``p_out``), and a root edge (z, y) or (x, z)
-has both endpoints on one side too, since z's own bits are set.  So a
-removed edge (x, y) matters to z only if it lies in z's snapshot and x,
-y are both descendants or both ancestors of z; any other root would
-return empty deltas.  The visited roots' reachability deltas become
-counter decrements by scanning the snapshot edges that leave a vertex
-dropped from the ancestor side or enter a vertex dropped from the
-descendant side; a root's own edges are refreshed only where one of its
-cursors actually moved.
+A deletion visits a root z only when a removed edge is one of z's
+cursors or one of z's own snapshot edges: ``DecReach.delete`` starts a
+cascade from no other edge, so any other root would return empty deltas.
+Every cursor of z is a live snapshot edge with both endpoints among z's
+descendants (``p_in``) or both among its ancestors (``p_out``), and a
+root edge (z, y) or (x, z) has both endpoints on one side too, since z's
+own bits are set.  So only the roots where a removed snapshot edge has
+both endpoints on one side need the exact test.  The visited roots'
+reachability deltas become counter decrements by scanning the snapshot
+edges that leave a vertex dropped from the ancestor side or enter a
+vertex dropped from the descendant side; a root's own edges are
+refreshed only where one of its cursors actually moved.
 
 The roots to visit are found with one vectorised read of a mirror of
 every root's reach flags: a ``uint8`` array R with one row per root, in
 first-centering order (the order of ``states``), where bit 0 of R[i, x]
 is ``desc[x]`` of the i-th root and bit 1 is ``anc[x]``, beside an
-``int64`` array of each root's ``limit``.  Root i is visited iff some
-removed edge (x, y) with stamp ts has ``limits[i] >= ts`` and
+``int64`` array of each root's ``limit``.  Root i is a candidate iff
+some removed edge (x, y) with stamp ts has ``limits[i] >= ts`` and
 ``R[i, x] & R[i, y] != 0``: one AND of the two columns tests both sides.
-An insertion rewrites its center's row from the new state's flags; a
-deletion clears bit 0 at each visited root's dropped descendants and
-bit 1 at its dropped ancestors.  Rows grow geometrically, so the mirror
-stays proportional to the number of roots times n.
+A candidate z is visited iff some removed edge e = (x, y) has
+``p_in[y] == e`` or ``p_out[x] == e``, or has z as an endpoint and a
+stamp within z's ``limit``.  An insertion rewrites its center's row from
+the new state's flags; a deletion clears bit 0 at each visited root's
+dropped descendants and bit 1 at its dropped ancestors.  Rows grow
+geometrically, so the mirror stays proportional to the number of roots
+times n.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ from .dec_reach import DecReach
 from .graph_core import NIL, Edge, TimestampedGraph, _fit_in_memory, _vertex
 
 # bytes per vertex that a newly centered root adds, by tracemalloc at
-# n=4000: 20 at rest, 22 where the reach-flag mirror doubles its rows
-_BYTES_PER_ROOT = 22
+# n=4000: 12.1 at rest, 13.1 where the reach-flag mirror doubles its rows
+_BYTES_PER_ROOT = 14
 
 
 class TrDag:
@@ -220,22 +223,33 @@ class TrDag:
         self._limits[i] = st.limit
 
     def _roots_to_visit(self, ids: list[int]) -> list[tuple[int, DecReach]]:
-        """Roots of which some removed edge can hold a cursor.
+        """Roots of which some removed edge is a cursor or an own edge.
 
-        Reads each root's reachability flags as they were before the
-        deletion, off the mirror; a root left out would get empty deltas
-        from ``DecReach.delete`` and no cursor reassignment.
+        The mirror, read as it was before the deletion, gives the
+        candidates; a root left out would get empty deltas from
+        ``DecReach.delete`` and no cursor reassignment.
         """
         k = len(self._roots)
-        g = self.g
+        e_tail, e_head, e_ts = self.g.e_tail, self.g.e_head, self.g.e_ts
         reach, limits = self._reach[:k], self._limits[:k]
         hit = np.zeros(k, bool)
         for e in ids:
             # bit 0 holds desc and bit 1 anc, so one AND tests both sides
-            both = reach[:, g.e_tail[e]] & reach[:, g.e_head[e]]
-            hit |= (both != 0) & (limits >= g.e_ts[e])
+            both = reach[:, e_tail[e]] & reach[:, e_head[e]]
+            hit |= (both != 0) & (limits >= e_ts[e])
+        edges = [(e, e_tail[e], e_head[e], e_ts[e]) for e in ids]
         roots, states = self._roots, self.states
-        return [(roots[i], states[roots[i]]) for i in np.flatnonzero(hit).tolist()]
+        visit = []
+        for i in np.flatnonzero(hit).tolist():
+            z = roots[i]
+            st = states[z]
+            p_in, p_out = st.p_in, st.p_out
+            for e, x, y, ts in edges:
+                # a cursor is a snapshot edge, so only an own edge needs the stamp
+                if p_in[y] == e or p_out[x] == e or (z in (x, y) and ts <= st.limit):
+                    visit.append((z, st))
+                    break
+        return visit
 
     def _refresh_red(self, edges: Iterable[int]) -> None:
         """Re-derive the reduction flag of each edge, reading ``tx``/``ty``

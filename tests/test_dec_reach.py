@@ -73,8 +73,8 @@ class TestInit:
         st_ = DecReach(g, 3)
         assert flags_to_set(st_.desc) == {3}
         assert flags_to_set(st_.anc) == {3}
-        assert st_.p_in == [NIL] * 5
-        assert st_.p_out == [NIL] * 5
+        assert list(st_.p_in) == [NIL] * 5
+        assert list(st_.p_out) == [NIL] * 5
 
     def test_cyclic_snapshot_rejected(self):
         cyclic = TimestampedGraph(2)
