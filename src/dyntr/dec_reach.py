@@ -5,10 +5,10 @@ has an in-neighbor among the root's proper descendants (and, mirrored,
 an out-neighbor among the proper ancestors), while edges are deleted.
 Per vertex and side the instance keeps one cursor into the shared
 timestamped adjacency of the graph, on the first incoming edge whose
-tail properly descends from the root, and per side the set of the far
-ends of the root's own edges.  The cursors of a side are edge ids in one
-``array('i')``, 4 bytes per vertex.  A vertex stays reached while it has a
-cursor or an edge from the root.  A deleted cursor edge advances the
+tail properly descends from the root.  The cursors of a side are edge
+ids in one ``array('i')``, 4 bytes per vertex.  A vertex stays reached
+while it has a cursor or a live snapshot edge from the root, which the
+graph's ``eid`` tells directly.  A deleted cursor edge advances the
 cursor to the next such edge; a vertex left with neither is declared
 unreachable and cascades over its outgoing edges.  Cursors only ever
 move forward through an adjacency list, which keeps the total
@@ -41,12 +41,11 @@ class DecReach:
     """Per-root reachability state over the root's snapshot.
 
     Invariant between calls: ``p_in[y]`` is NIL or the first live
-    snapshot in-edge of y whose tail is a proper descendant, and
-    ``d_root`` holds the heads of the root's live snapshot out-edges, so
-    y != root is a descendant iff ``p_in[y]`` is set or y is in
-    ``d_root``; ``p_out`` and ``a_root`` mirror this among the ancestors.
-    A dropped vertex queues its edges away from the root, the only
-    cursors it can be the far end of, so ``delete`` changes nothing
+    snapshot in-edge of y whose tail is a proper descendant, so y != root
+    is a descendant iff ``p_in[y]`` is set or (root, y) is a live
+    snapshot edge; ``p_out`` mirrors this among the ancestors, with
+    (y, root).  A dropped vertex queues its edges away from the root, the
+    only cursors it can be the far end of, so ``delete`` changes nothing
     unless a removed snapshot edge is a cursor or a root edge.
     """
 
@@ -58,8 +57,6 @@ class DecReach:
         "anc",
         "p_in",
         "p_out",
-        "d_root",
-        "a_root",
         "touched_in",
         "touched_out",
         "op_counter",
@@ -71,17 +68,17 @@ class DecReach:
         self.g = g
         self.root = root
         self.limit = g.center_ts[root]
-        self.desc, self.d_root, d_ops = self._search(g.fwd)
-        self.anc, self.a_root, a_ops = self._search(g.bwd)
+        self.desc, d_ops = self._search(g.fwd)
+        self.anc, a_ops = self._search(g.bwd)
         self.p_in, i_ops = self._cursors(self.desc, g.bwd)
         self.p_out, o_ops = self._cursors(self.anc, g.fwd)
         self.touched_in: set[int] = set()
         self.touched_out: set[int] = set()
         self.op_counter = d_ops + a_ops + i_ops + o_ops
 
-    def _search(self, walk: tuple) -> tuple[bytearray, set[int], int]:
-        """Snapshot vertices the root reaches along ``walk``, the far ends
-        of the root's own edges, and the edges scanned."""
+    def _search(self, walk: tuple) -> tuple[bytearray, int]:
+        """Snapshot vertices the root reaches along ``walk``, and the edges
+        scanned."""
         first, nxt, far, _ = walk
         root, limit, e_ts = self.root, self.limit, self.g.e_ts
         reached = bytearray(len(first))
@@ -98,12 +95,7 @@ class DecReach:
                     reached[w] = 1
                     stack.append(w)
                 e = nxt[e]
-        ends = set()
-        e = first[root]
-        while e != NIL and e_ts[e] <= limit:
-            ends.add(far[e])
-            e = nxt[e]
-        return reached, ends, ops + len(ends)
+        return reached, ops
 
     def _cursors(self, reached: bytearray, back: tuple) -> tuple[array, int]:
         """Cursors of the reached vertices on their ``back`` lists; edges
@@ -145,12 +137,8 @@ class DecReach:
         vertices whose query answers may have flipped.
         """
         fwd, bwd = self.g.fwd, self.g.bwd
-        d_delta, self.touched_in, d_ops = self._drain(
-            removed_ids, self.desc, self.p_in, self.d_root, fwd, bwd
-        )
-        a_delta, self.touched_out, a_ops = self._drain(
-            removed_ids, self.anc, self.p_out, self.a_root, bwd, fwd
-        )
+        d_delta, self.touched_in, d_ops = self._drain(removed_ids, self.desc, self.p_in, fwd, bwd)
+        a_delta, self.touched_out, a_ops = self._drain(removed_ids, self.anc, self.p_out, bwd, fwd)
         self.op_counter += d_ops + a_ops
         return d_delta, a_delta
 
@@ -159,15 +147,17 @@ class DecReach:
         removed_ids: list[int],
         reached: bytearray,
         p: array,
-        ends: set[int],
         walk: tuple,
         back: tuple,
     ) -> tuple[list[int], set[int], int]:
-        """A removed root edge leaves ``ends``, a removed cursor advances,
-        and a vertex left with neither drops and queues its ``walk``
-        edges.  Returns the dropped and touched vertices and edges scanned."""
-        root, limit, e_ts, e_live = self.root, self.limit, self.g.e_ts, self.g.e_live
+        """A removed cursor advances, and a vertex left with neither a
+        cursor nor a root edge drops and queues its ``walk`` edges.  The
+        batch is already out of ``eid``, so a root edge found there is
+        live.  Returns the dropped and touched vertices and edges scanned."""
+        g = self.g
+        root, limit, e_ts, e_live, eid = self.root, self.limit, g.e_ts, g.e_live, g.eid
         w_first, w_nxt = walk[0], walk[1]
+        from_root = walk is g.fwd
         nxt, far, near = back[1], back[2], back[3]
         delta, touched, ops = [], set(), 0
         queue = [e for e in removed_ids if e_ts[e] <= limit]
@@ -176,8 +166,8 @@ class DecReach:
             ops += 1
             y = near[e]
             if far[e] == root:
-                ends.discard(y)
-                if p[y] != NIL:
+                # y may have dropped already, when its cursor ran out first
+                if p[y] != NIL or not reached[y]:
                     continue
             elif p[y] == e:
                 touched.add(y)
@@ -190,7 +180,10 @@ class DecReach:
                         p[y] = pos
                         break
                     pos = nxt[pos]
-                if p[y] != NIL or y in ends:
+                if p[y] != NIL:
+                    continue
+                r = eid.get((root, y) if from_root else (y, root))
+                if r is not None and e_ts[r] <= limit:
                     continue
             else:
                 continue

@@ -18,7 +18,9 @@ class BadUpdate(DynTrError, ValueError):
     iterable, by ``minimal_scss`` for a repeated vertex, an edge that is
     not a pair, or an edge with an endpoint outside the vertices it was
     given, by a constructor given a vertex count (or inverse size) below
-    1, and by ``cli.make_engine`` for an unknown mode or engine name.
+    1, by ``cli.make_engine`` for an unknown mode or engine name, and by
+    ``oracle.random_update_stream`` for a vertex count that is not a
+    positive int or an unknown mode.
     Also a ``ValueError``, which these inputs raised before the class
     existed.
     """

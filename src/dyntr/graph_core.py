@@ -40,8 +40,8 @@ reach probe over the live out-lists.
 
 ``_fit_in_memory`` is the one resource check: each engine asks it, with
 its measured construction peak, before its first O(n) or larger
-allocation, so a size that cannot fit raises ``TooLarge``; ``TrDag`` asks
-again before it centers a new root.
+allocation, so a size that cannot fit raises ``TooLarge``; ``TrDag`` and
+``TrGeneral`` ask again before they center a new root.
 """
 
 from __future__ import annotations

@@ -17,13 +17,14 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .errors import CyclicInput, MissingEdge
+from .errors import BadUpdate, CyclicInput, MissingEdge
 from .graph_core import (
     DeleteSet,
     Edge,
     InsertCentered,
     TimestampedGraph,
     Update,
+    _count,
     _vertex,
 )
 
@@ -287,9 +288,12 @@ def random_update_stream(
     DAG mode draws every edge along one fixed random topological order, so
     the stream can never close a cycle.  Batches hold 1..3 edges; deletions
     sample live edges uniformly.  The result depends only on the arguments.
+    A vertex count that is not a positive int, or a mode other than these
+    two, raises ``BadUpdate``.
     """
+    n = _count(n, "vertex count")
     if mode not in ("dag", "general"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise BadUpdate(f"unknown mode {mode!r}")
     rng = random.Random(seed)
     rank = [0] * (n + 1)
     if mode == "dag":

@@ -8,20 +8,20 @@ descendants and an in-tree spanning the ancestors; breadth-first order
 keeps the trees shallow.  The snapshot's SCC partition and the per-SCC
 witness flags (is a component entered from a proper descendant of the
 root, or left toward a proper ancestor) are computed on the first query
-of a view and kept until the view is replaced.
+of a view and kept until its snapshot loses an edge.
 
-A deletion replaces the view of every snapshot that held a removed
-edge.  A side whose tree lost no edge is carried over unchanged: the
-tree still spans the same set in the smaller snapshot, and a subgraph
-cannot reach more (Even and Shiloach, 1981).  A side whose tree lost
-edges repairs the tree first, in one pass in the order the edges were
+A deletion repairs the view of every snapshot that held a removed edge
+in place.  A side whose tree lost no edge is kept unchanged: the tree
+still spans the same set in the smaller snapshot, and a subgraph cannot
+reach more (Even and Shiloach, 1981).  A side whose tree lost edges
+repairs its parent array in one pass in the order the edges were
 removed: each vertex that lost its parent edge takes a live snapshot
 edge from a reached vertex whose tree path to the root avoids every
 vertex still waiting for a parent.  When every lost vertex finds one,
 each old tree path is rerouted over live edges, so the reached set is
-unchanged and only the parent array is new.  A side where some lost
-vertex finds no parent in that one pass is searched again.  Only such a
-search can shrink a view's reach, so ``delete`` reports those views.
+unchanged.  A side where some lost vertex finds no parent in that one
+pass is searched again, into a new view.  Only such a search can shrink
+a view's reach, so ``delete`` reports those views.
 
 The condensation of the current graph is kept alongside, and recomputed
 only when an update can change it: an insertion whose new edge joins
@@ -121,11 +121,12 @@ def _search(g: TimestampedGraph, root: int, walk: tuple) -> tuple[bytearray, arr
 def _reparent(
     g: TimestampedGraph,
     root: int,
-    side: tuple[bytearray, array],
+    reached: bytearray,
+    par: array,
     hit: list[int],
     back: tuple,
-) -> tuple[bytearray, array] | None:
-    """A view side ``(reached, par)`` with its tree edges in ``hit`` replaced.
+) -> bool:
+    """Replace, in ``par`` itself, the tree edges of a view side in ``hit``.
 
     ``back`` is the orientation opposite to the side's search: its lists
     hold the edges that could reach a vertex, and the tree path of a
@@ -134,17 +135,14 @@ def _reparent(
     vertex whose tree path to ``root`` avoids every vertex still waiting
     for a parent; that path can no longer change, so the tree stays
     acyclic and spans the same reached set.  Each lost vertex is tried
-    once, in ``hit`` order.  ``par`` is returned as it is when no tree
-    edge was hit, else as a repaired copy; the result is ``None`` as soon
-    as a lost vertex finds no parent.
+    once, in ``hit`` order.  Returns False as soon as a lost vertex finds
+    no parent, with ``par`` then partly rewritten.
     """
-    reached, par = side
     first, nxt, far, near = back
     lost = [near[e] for e in hit if par[near[e]] == e]
     if not lost:
-        return side
+        return True
     limit, e_ts = g.center_ts[root], g.e_ts
-    par = array("i", par)
     waiting = bytearray(g.n + 1)
     for v in lost:
         waiting[v] = 1
@@ -162,8 +160,8 @@ def _reparent(
                     break
             e = nxt[e]
         else:
-            return None
-    return reached, par
+            return False
+    return True
 
 
 def split_edges(
@@ -237,10 +235,6 @@ class _RootView:
             self._labels = (scc_of, in_wit, out_wit)
         return self._labels
 
-    @property
-    def scc_of(self) -> list[int]:
-        return self.labels()[0]
-
 
 class SccSnapshots:
     """Snapshot reachability views plus the current graph's condensation."""
@@ -290,14 +284,19 @@ class SccSnapshots:
     # ---- deletion ----
 
     def delete(self, removed_ids: Iterable[int]) -> list[tuple[_RootView, _RootView]]:
-        """Replace every view whose snapshot held one of the removed ids.
+        """Repair every view whose snapshot held one of the removed ids.
 
-        A side whose tree lost an edge is repaired by ``_reparent``, and
-        searched again only when that fails; a view with both sides
-        repaired keeps its reached arrays.  Returns the ``(old, new)`` pair
-        of each view with a side searched again.  The condensation is then
-        recomputed only if a removed edge inside a component leaves its tail
-        without a detour to its head; with one, every old path can take it.
+        A side whose tree lost an edge is repaired in place by
+        ``_reparent``.  A view with both sides repaired stays, with its
+        labels dropped; a view with a side that ``_reparent`` gave up on
+        is replaced by one that searches that side again and keeps the
+        other.  Returns the ``(old, new)`` pair of each replaced view.
+        The old view's ``desc``, ``anc``, ``root`` and ``limit`` still
+        describe the snapshot before the deletion, all that
+        ``TrGeneral._swap`` reads of it; its parent arrays may be partly
+        rewritten.  The condensation is then recomputed only if a removed
+        edge inside a component leaves its tail without a detour to its
+        head; with one, every old path can take it.
         """
         g, e_ts = self.g, self.g.e_ts
         ids = list(removed_ids)
@@ -307,11 +306,13 @@ class SccSnapshots:
             hit = [e for e in ids if e_ts[e] <= old.limit]
             if not hit:
                 continue
-            out_side = _reparent(g, root, (old.desc, old.out_par), hit, g.bwd)
-            in_side = _reparent(g, root, (old.anc, old.in_par), hit, g.fwd)
-            if out_side and in_side:
-                views[root] = _RootView(g, root, *out_side, *in_side)
+            out_ok = _reparent(g, root, old.desc, old.out_par, hit, g.bwd)
+            in_ok = _reparent(g, root, old.anc, old.in_par, hit, g.fwd)
+            if out_ok and in_ok:
+                old._labels = None
             else:
+                out_side = (old.desc, old.out_par) if out_ok else None
+                in_side = (old.anc, old.in_par) if in_ok else None
                 views[root] = self._build_view(root, out_side, in_side)
                 searched.append((old, views[root]))
         comp, removed = self.comp_cur, [(g.e_tail[e], g.e_head[e]) for e in ids]

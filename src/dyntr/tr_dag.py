@@ -43,17 +43,16 @@ refreshed only where one of its cursors actually moved.
 The roots to visit are found with one vectorised read of a mirror of
 every root's reach flags: a ``uint8`` array R with one row per root, in
 first-centering order (the order of ``states``), where bit 0 of R[i, x]
-is ``desc[x]`` of the i-th root and bit 1 is ``anc[x]``, beside an
-``int64`` array of each root's ``limit``.  Root i is a candidate iff
-some removed edge (x, y) with stamp ts has ``limits[i] >= ts`` and
-``R[i, x] & R[i, y] != 0``: one AND of the two columns tests both sides.
-A candidate z is visited iff some removed edge e = (x, y) has
-``p_in[y] == e`` or ``p_out[x] == e``, or has z as an endpoint and a
-stamp within z's ``limit``.  An insertion rewrites its center's row from
-the new state's flags; a deletion clears bit 0 at each visited root's
-dropped descendants and bit 1 at its dropped ancestors.  Rows grow
-geometrically, so the mirror stays proportional to the number of roots
-times n.
+is ``desc[x]`` of the i-th root and bit 1 is ``anc[x]``.  Root i is a
+candidate iff some removed edge (x, y) has ``R[i, x] & R[i, y] != 0``:
+one AND of the two columns tests both sides.  The mirror keeps no
+stamps: a candidate z is visited iff some removed edge e = (x, y) has
+``p_in[y] == e`` or ``p_out[x] == e``, which only a snapshot edge can
+be, or has z as an endpoint and a stamp within z's ``limit``.  An
+insertion rewrites its center's row from the new state's flags; a
+deletion clears bit 0 at each visited root's dropped descendants and bit
+1 at its dropped ancestors.  Rows grow geometrically, so the mirror
+stays proportional to the number of roots times n.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ from .dec_reach import DecReach
 from .graph_core import NIL, Edge, TimestampedGraph, _fit_in_memory, _vertex
 
 # bytes per vertex that a newly centered root adds, by tracemalloc at
-# n=4000: 12.1 at rest, 13.1 where the reach-flag mirror doubles its rows
+# n=4000: 12.0 at rest, 13.0 where the reach-flag mirror doubles its rows
 _BYTES_PER_ROOT = 14
 
 
@@ -82,7 +81,6 @@ class TrDag:
         self._slot: dict[int, int] = {}
         self._roots: list[int] = []
         self._reach = np.zeros((0, self.g.n + 1), np.uint8)
-        self._limits = np.zeros(0, np.int64)
         self.count: list[int] = []
         self._red: list[int] = []
         # the edges with flag 0, sorted
@@ -211,16 +209,13 @@ class TrDag:
         if i is None:
             i = self._slot[center] = len(self._roots)
             self._roots.append(center)
-            if i == len(self._limits):
+            if i == len(self._reach):
                 reach = np.zeros((2 * i or 1, self.g.n + 1), np.uint8)
                 reach[:i] = self._reach
-                limits = np.zeros(len(reach), np.int64)
-                limits[:i] = self._limits
-                self._reach, self._limits = reach, limits
+                self._reach = reach
         row = self._reach[i]
         np.left_shift(np.frombuffer(st.anc, np.uint8), 1, out=row)
         row |= np.frombuffer(st.desc, np.uint8)
-        self._limits[i] = st.limit
 
     def _roots_to_visit(self, ids: list[int]) -> list[tuple[int, DecReach]]:
         """Roots of which some removed edge is a cursor or an own edge.
@@ -231,12 +226,11 @@ class TrDag:
         """
         k = len(self._roots)
         e_tail, e_head, e_ts = self.g.e_tail, self.g.e_head, self.g.e_ts
-        reach, limits = self._reach[:k], self._limits[:k]
+        reach = self._reach[:k]
         hit = np.zeros(k, bool)
         for e in ids:
             # bit 0 holds desc and bit 1 anc, so one AND tests both sides
-            both = reach[:, e_tail[e]] & reach[:, e_head[e]]
-            hit |= (both != 0) & (limits >= e_ts[e])
+            hit |= (reach[:, e_tail[e]] & reach[:, e_head[e]]) != 0
         edges = [(e, e_tail[e], e_head[e], e_ts[e]) for e in ids]
         roots, states = self._roots, self.states
         visit = []

@@ -56,8 +56,6 @@ class TestInit:
         assert st_.p_in[2] == g.eid[(3, 2)]
         # 3's only in-edge is the root's
         assert st_.p_in[3] == NIL
-        assert st_.d_root == {2, 3}
-        assert st_.a_root == set()
 
     def test_p3_root_children_have_no_cursor(self):
         g = full_p3_from_1()
@@ -65,7 +63,6 @@ class TestInit:
         assert flags_to_set(st_.desc) == {1, 2, 3}
         assert st_.p_in[2] == NIL
         assert st_.p_in[3] == g.eid[(2, 3)]
-        assert st_.d_root == {2}
 
     def test_isolated_root(self):
         g = TimestampedGraph(4, acyclic=True)
@@ -102,9 +99,8 @@ class TestDelete:
         d, a = st_.delete([eid])
         assert d == []
         assert a == []
-        # the root edge leaves d_root; the cursor of 2 stays on (3, 2)
+        # the cursor of 2 stays on (3, 2)
         assert st_.p_in[2] == keep
-        assert st_.d_root == {3}
         assert st_.touched_in == set()
         assert flags_to_set(st_.desc) == {1, 2, 3}
 
@@ -119,7 +115,6 @@ class TestDelete:
         # 2 survived on its remaining parent edge, the root's, so its
         # cursor found nothing past (3, 2)
         assert st_.p_in[2] == NIL
-        assert st_.d_root == {2}
         assert st_.touched_in == {2}
 
     def test_p3_cascade_takes_everything(self):
@@ -192,7 +187,6 @@ class TestRootEdgeHoldout:
         g.apply_delete(batch)
         assert st_.delete(ids)[side] == [v]
         assert query(st_, v) is False
-        assert v not in (st_.d_root, st_.a_root)[side]
 
 
 class TestQueries:

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dyntr import oracle
-from dyntr.errors import CyclicInput, MissingEdge
+from dyntr.errors import BadUpdate, CyclicInput, MissingEdge
 import reference
 
 PROPERTY_SETTINGS = settings(
@@ -175,6 +175,14 @@ def test_dag_streams_stay_acyclic(n, seed):
         else:
             live -= set(upd.edges)
         assert reference.is_acyclic(n, live)
+
+
+@pytest.mark.parametrize(
+    "n, mode", [(0, "dag"), (-2, "general"), (2.0, "dag"), ("3", "dag"), (4, "bogus")]
+)
+def test_stream_rejects_a_bad_vertex_count_or_mode(n, mode):
+    with pytest.raises(BadUpdate):
+        oracle.random_update_stream(n, 10, mode)
 
 
 def test_density_zero_deletes_after_build():

@@ -85,14 +85,14 @@ class TestDelete:
     def test_c3_split_reports_new_inter_edges(self):
         g, scc = c3_fixture()
         view = scc.views[3]
-        assert len({view.scc_of[v] for v in (1, 2, 3)}) == 1
+        assert len({view.labels()[0][v] for v in (1, 2, 3)}) == 1
         assert scc.groups == {}
         eid = g.eid[(1, 2)]
         g.apply_delete([(1, 2)])
         scc.delete([eid])
         # root 3 held the full cycle, so its view splits into singletons
         view = scc.views[3]
-        assert len({view.scc_of[v] for v in (1, 2, 3)}) == 3
+        assert len({view.labels()[0][v] for v in (1, 2, 3)}) == 3
         assert [v for v in (1, 2, 3) if view.desc[v]] == [1, 3]
         # the former cycle edges now cross components, each alone
         assert sorted(grp.members for grp in scc.groups.values()) == [
@@ -126,8 +126,8 @@ class TestDelete:
         # component A fell apart in every view, since each held both
         # cycle edges, while B = {3, 4} stayed whole
         for view in scc.views.values():
-            assert view.scc_of[1] != view.scc_of[2]
-            assert view.scc_of[3] == view.scc_of[4]
+            assert view.labels()[0][1] != view.labels()[0][2]
+            assert view.labels()[0][3] == view.labels()[0][4]
         assert scc.views[1].desc[2] == 0
         comp = scc.comp_cur
         assert set(scc.groups) == {
@@ -168,7 +168,7 @@ def test_non_tree_deletion_keeps_reach_and_drops_labels(monkeypatch):
     g.apply_insert_centered(1, [(1, 2), (1, 3)])
     scc.rebuild(1)
     old = scc.views[1]
-    assert old.scc_of[2] == old.scc_of[3]
+    assert old.labels()[0][2] == old.labels()[0][3]
     assert scc.in_query(3, 1) is False
     built = spy(monkeypatch, "_build_view")
     eid = g.eid[(3, 2)]
@@ -177,10 +177,10 @@ def test_non_tree_deletion_keeps_reach_and_drops_labels(monkeypatch):
     # only root 2, whose in-tree held the edge, was searched again
     assert built == [2]
     view = scc.views[1]
-    assert view is not old
+    assert view is old
     assert view.desc is old.desc and view.anc is old.anc
     comp, _ = scc_partition(4, snapshot_edges_of(g, 1))
-    assert partition_groups(view.scc_of, 4) == partition_groups(comp, 4)
+    assert partition_groups(view.labels()[0], 4) == partition_groups(comp, 4)
     in_map, out_map = recompute_scc_inout(g, 1)
     for v in range(1, 5):
         assert scc.in_query(v, 1) == in_map[v]
@@ -223,6 +223,48 @@ def test_queries_on_uncentered_root_are_false():
     scc.rebuild(1)
     assert scc.in_query(2, 3) is False
     assert scc.out_query(1, 3) is False
+
+
+# (the insertions, the root-1 edges deleted in one batch, the side kept,
+#  the descendants and ancestors of root 1 afterwards)
+ONE_SIDE_SEARCHED = (
+    # 3 takes (2, 3) in place of (1, 3); 4 has no other way into 1
+    ([(2, [(2, 3)]), (1, [(1, 2), (1, 3), (4, 1)])], [(1, 3), (4, 1)], "out", {1, 2, 3}, {1}),
+    # 2 takes (3, 2) before 4 finds no parent, so the out-tree is left
+    # half rewritten; the in-tree lost nothing
+    (
+        [(3, [(3, 2)]), (1, [(1, 2), (1, 3), (1, 4), (5, 1)])],
+        [(1, 2), (1, 4)],
+        "in",
+        {1, 2, 3},
+        {1, 5},
+    ),
+)
+
+
+@pytest.mark.parametrize("case", ONE_SIDE_SEARCHED, ids=["in-searched", "out-searched"])
+def test_a_side_searched_again_leaves_the_old_view_readable(case):
+    inserts, batch, kept, desc_after, anc_after = case
+    g = TimestampedGraph(5)
+    scc = SccSnapshots(g)
+    for center, edges in inserts:
+        g.apply_insert_centered(center, edges)
+        scc.rebuild(center)
+    view = scc.views[1]
+    desc_b, anc_b = bytes(view.desc), bytes(view.anc)
+    searched = scc.delete(g.apply_delete(batch))
+    old, new = dict((o.root, (o, n)) for o, n in searched)[1]
+    assert old is view and new is scc.views[1]
+    # TrGeneral takes the old share out by these, so they read as before
+    assert (bytes(old.desc), bytes(old.anc)) == (desc_b, anc_b)
+    assert (old.root, old.limit) == (new.root, new.limit)
+    if kept == "out":
+        assert new.desc is old.desc and new.out_par is old.out_par
+    else:
+        assert new.anc is old.anc and new.in_par is old.in_par
+    assert {v for v in range(1, 6) if new.desc[v]} == desc_after
+    assert {v for v in range(1, 6) if new.anc[v]} == anc_after
+    assert_views_exact(g, scc)
 
 
 @st.composite
@@ -269,7 +311,7 @@ def test_partitions_match_from_scratch_oracle(case):
         for root, view in scc.views.items():
             snap = snapshot_edges_of(g, root)
             comp, _ = scc_partition(n, snap)
-            assert partition_groups(view.scc_of, n) == partition_groups(comp, n)
+            assert partition_groups(view.labels()[0], n) == partition_groups(comp, n)
 
 
 @pytest.mark.parametrize("mode", ["dag", "general"])
@@ -342,8 +384,8 @@ def test_group_totality_and_nesting(case):
         for older, newer in zip(views, views[1:]):
             for v in range(1, n + 1):
                 for w in range(1, n + 1):
-                    if older.scc_of[v] == older.scc_of[w]:
-                        assert newer.scc_of[v] == newer.scc_of[w]
+                    if older.labels()[0][v] == older.labels()[0][w]:
+                        assert newer.labels()[0][v] == newer.labels()[0][w]
 
 
 @given(general_streams())
@@ -358,7 +400,7 @@ def test_deletion_deltas_are_sound(case):
             scc.rebuild(upd.center)
             continue
         before = {
-            root: (view, bytes(view.desc), bytes(view.anc), list(view.scc_of))
+            root: (view, bytes(view.desc), bytes(view.anc), list(view.labels()[0]))
             for root, view in scc.views.items()
         }
         stamps = [g.ts_of(*e) for e in upd.edges]
@@ -373,7 +415,7 @@ def test_deletion_deltas_are_sound(case):
                 assert view is old
                 assert bytes(view.desc) == desc_b
                 assert bytes(view.anc) == anc_b
-                assert view.scc_of == scc_b
+                assert view.labels()[0] == scc_b
 
 
 @given(general_streams())
